@@ -19,7 +19,7 @@ use agossip_core::{
     check_gossip, Ears, GossipCtx, GossipEngine, GossipSpec, Rumor, Tears, TearsParams, Trivial,
     WireCodec, WireDecodeView,
 };
-use agossip_runtime::{run_live, ChannelTransport, LiveConfig, LiveReport, Pacing, Threading};
+use agossip_runtime::{run_live, ChannelTransport, LiveConfig, LiveReport, Pacing};
 use agossip_sim::{ProcessId, SimError, SimResult};
 
 use crate::experiments::common::{ExperimentScale, GossipProtocolKind};
@@ -84,7 +84,7 @@ pub fn live_config(scale: &ExperimentScale, n: usize, trial: usize) -> LiveConfi
             d: scale.d,
             max_ticks: 1 << 20,
         },
-        threading: Threading::PerProcess,
+        reactors: n,
     }
 }
 
@@ -184,7 +184,7 @@ pub fn live_rows(pool: &TrialPool, scale: &ExperimentScale) -> SimResult<Vec<Liv
 
 /// One row of the `live_scale` scenario: a checker-verified lockstep `tears`
 /// run at system size `n`, all processes multiplexed onto `reactors` event
-/// loops ([`Threading::Reactor`]).
+/// loops ([`LiveConfig::reactors`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveScaleRow {
     /// System size.

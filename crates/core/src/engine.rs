@@ -12,7 +12,7 @@
 //! * the discrete-event simulator ([`crate::adapter::SimGossip`] adapts an
 //!   engine to [`agossip_sim::Process`]), which is what the complexity
 //!   experiments use, and
-//! * the thread-per-process runtime in `agossip-runtime`, which demonstrates
+//! * the live reactor runtime in `agossip-runtime`, which demonstrates
 //!   the protocols running under real (uncontrolled) asynchrony.
 
 use std::fmt;

@@ -197,9 +197,9 @@ pub fn run_lint_with(root: &Path, policy: &Policy) -> std::io::Result<Report> {
         }
         let source = std::fs::read_to_string(&path)?;
         let (findings, waivers) = lint_source(&rel, &source, policy);
-        report.files_scanned += 1;
         report.findings.extend(findings);
         report.waivers.extend(waivers);
+        report.files.push(rel);
     }
     Ok(report)
 }

@@ -100,7 +100,7 @@ fn main() -> ExitCode {
         let stale = report.waivers.iter().filter(|w| !w.used).count();
         println!(
             "agossip-lint: {} files, {} unwaived finding(s), {} waived, {} waiver(s) ({} unused)",
-            report.files_scanned,
+            report.files.len(),
             unwaived,
             waived,
             report.waivers.len(),

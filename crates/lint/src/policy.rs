@@ -115,13 +115,14 @@ pub fn default_policy() -> Policy {
             &[],
         ),
         // (3) Decode and frame handling must never panic: corrupt bytes are
-        // message loss, surfaced as typed errors. The driver is included
-        // because it joins node threads and surfaces their errors — a panic
-        // there takes down the whole run; the reactor multiplexes *every*
-        // process of its shard, so a panic there takes out all of them at
-        // once. The epoch/service paths peel and route epoch-tagged frames
-        // (and absorb stale ones) on that same per-frame surface, so they
-        // are held to the same rule.
+        // message loss, surfaced as typed errors. The reactor holds the one
+        // event loop, which multiplexes *every* process of its shard, so a
+        // panic there takes out all of them at once; it also joins the
+        // reactor threads and surfaces their errors. The driver is included
+        // because a panic there takes down the whole run. The epoch/service
+        // paths peel and route epoch-tagged frames (and absorb stale ones)
+        // on that same per-frame surface, so they are held to the same
+        // rule.
         entry(
             RuleId::NeverPanicDecode,
             &[
@@ -130,7 +131,6 @@ pub fn default_policy() -> Policy {
                 "crates/core/src/epoch.rs",
                 "crates/core/src/service.rs",
                 "crates/runtime/src/transport.rs",
-                "crates/runtime/src/event_loop.rs",
                 "crates/runtime/src/driver.rs",
                 "crates/runtime/src/reactor.rs",
                 "crates/runtime/src/clock.rs",
@@ -200,9 +200,13 @@ mod tests {
         assert!(view.contains(&RuleId::NeverPanicDecode));
         assert!(view.contains(&RuleId::NoUncheckedNarrowing));
 
+        // The one event loop (flush/poll, frame parsing, batched delivery)
+        // lives in the reactor.
         let reactor = policy.rules_for("crates/runtime/src/reactor.rs");
         assert!(reactor.contains(&RuleId::NeverPanicDecode));
         assert!(reactor.contains(&RuleId::NoWallClock));
+        let driver = policy.rules_for("crates/runtime/src/driver.rs");
+        assert!(driver.contains(&RuleId::NeverPanicDecode));
 
         for service_path in [
             "crates/core/src/epoch.rs",

@@ -67,8 +67,8 @@ pub struct Waiver {
 /// Everything one lint run produced.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// Number of `.rs` files lexed.
-    pub files_scanned: usize,
+    /// Workspace-relative paths of the `.rs` files lexed, in walk order.
+    pub files: Vec<String>,
     /// All findings, waived ones included, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
     /// All waivers seen, used or not, sorted by (file, line).
@@ -99,7 +99,7 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"version\": 1,");
-        let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
+        let _ = writeln!(out, "  \"files_scanned\": {},", self.files.len());
         let _ = writeln!(out, "  \"unwaived_count\": {},", self.unwaived_count());
         out.push_str("  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn json_report_is_well_formed() {
         let report = Report {
-            files_scanned: 2,
+            files: vec!["a.rs".into(), "b.rs".into()],
             findings: vec![Finding {
                 rule: RuleId::NoUnsafe,
                 file: "a.rs".into(),

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 
+use agossip_lint::policy::default_policy;
 use agossip_lint::run_lint;
 
 fn workspace_root() -> PathBuf {
@@ -27,9 +28,9 @@ fn workspace_root() -> PathBuf {
 fn workspace_has_zero_unwaived_findings() {
     let report = run_lint(&workspace_root()).expect("workspace walk");
     assert!(
-        report.files_scanned > 50,
+        report.files.len() > 50,
         "suspiciously small walk ({} files) — wrong root?",
-        report.files_scanned
+        report.files.len()
     );
     let diagnostics = report.render_diagnostics();
     assert_eq!(
@@ -49,4 +50,28 @@ fn workspace_has_no_stale_waivers() {
         .map(|w| format!("{}:{}: unused waiver for {}", w.file, w.line, w.rule))
         .collect();
     assert!(stale.is_empty(), "{}", stale.join("\n"));
+}
+
+/// A rule scoped to an exact file must name a file the walk really scans:
+/// otherwise deleting or renaming that file silently drops it out of the
+/// rule's scope. Directory patterns (ending in `/`) and the match-all empty
+/// pattern are not file names and are skipped.
+#[test]
+fn every_exact_file_scope_names_a_scanned_file() {
+    let report = run_lint(&workspace_root()).expect("workspace walk");
+    let missing: Vec<String> = default_policy()
+        .entries
+        .iter()
+        .flat_map(|entry| {
+            entry
+                .include
+                .iter()
+                .chain(&entry.exclude)
+                .map(move |pattern| (entry.rule, pattern))
+        })
+        .filter(|(_, pattern)| !pattern.is_empty() && !pattern.ends_with('/'))
+        .filter(|(_, pattern)| !report.files.contains(pattern))
+        .map(|(rule, pattern)| format!("{rule}: `{pattern}` is not a scanned file"))
+        .collect();
+    assert!(missing.is_empty(), "{}", missing.join("\n"));
 }

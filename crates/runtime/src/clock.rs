@@ -12,7 +12,9 @@
 //! A [`Clock`] reports *elapsed time since its own epoch* as a [`Duration`]
 //! rather than an [`std::time::Instant`]: durations are plain arithmetic
 //! values, which is what makes a fake implementation trivial and the
-//! pending-delivery heaps representation-independent.
+//! pending-delivery heaps representation-independent. Every conversion of
+//! a [`Duration`] to a `u64` count goes through the saturating
+//! `duration_to_micros` / `duration_to_millis` pair.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -65,7 +67,7 @@ impl Clock for MonotonicClock {
 /// free-running run make progress without any thread ever sleeping on real
 /// time.
 ///
-/// Thread-safe: the free-running driver and every node thread share one
+/// Thread-safe: the free-running driver and every reactor thread share one
 /// clock.
 #[derive(Debug, Default)]
 pub struct FakeClock {
@@ -100,10 +102,16 @@ impl FakeClock {
     }
 }
 
-/// Saturating micro-second conversion: a fake clock asked to advance by
-/// centuries pins at the maximum instead of wrapping backwards.
-fn duration_to_micros(d: Duration) -> u64 {
+/// Whole microseconds of `d`, saturating at `u64::MAX`: a fake clock asked
+/// to advance by centuries, or a delay bound of `Duration::MAX`, pins at
+/// the maximum instead of wrapping to an arbitrary value.
+pub(crate) fn duration_to_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Whole milliseconds of `d`, saturating at `u64::MAX`.
+pub(crate) fn duration_to_millis(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
 impl Clock for FakeClock {
@@ -143,6 +151,15 @@ mod tests {
         assert_eq!(clock.now(), Duration::ZERO);
         assert_eq!(clock.now(), Duration::from_micros(100));
         assert_eq!(clock.now(), Duration::from_micros(200));
+    }
+
+    #[test]
+    fn duration_conversions_saturate_at_duration_max() {
+        assert_eq!(duration_to_micros(Duration::MAX), u64::MAX);
+        assert_eq!(duration_to_millis(Duration::MAX), u64::MAX);
+        assert_eq!(duration_to_micros(Duration::from_secs(u64::MAX)), u64::MAX);
+        assert_eq!(duration_to_millis(Duration::from_millis(1234)), 1234);
+        assert_eq!(duration_to_micros(Duration::from_millis(2)), 2000);
     }
 
     #[test]

@@ -1,23 +1,23 @@
 //! The live driver: n concurrent processes gossiping to completion over a
 //! byte transport.
 //!
-//! [`run_live`] opens one [`Transport`] endpoint per process, schedules the
-//! processes onto OS threads per the configured [`Threading`] — one thread
-//! per process, or a handful of reactor threads each multiplexing many
-//! processes (see [`crate::reactor`]) — and watches for completion:
+//! [`run_live`] opens one [`Transport`] endpoint per process, pins the
+//! processes onto [`LiveConfig::reactors`] event-loop threads (see
+//! [`crate::reactor`]; `reactors = n` is one thread per process) and
+//! watches for completion:
 //!
 //! * **Lockstep** — the driver participates in the tick barrier: each tick
-//!   it first arbitrates the settle handshake (nodes drain their
+//!   it first arbitrates the settle handshake (reactors drain their
 //!   transports until `messages_sent == frames_consumed`, so no frame is
 //!   ever read a tick late or lost in kernel transit — this is what makes
 //!   the guarantees transport-independent), then stops the run after two
-//!   consecutive all-quiet ticks, where *quiet* means a node neither
+//!   consecutive all-quiet ticks, where *quiet* means a process neither
 //!   delivered nor sent anything, holds no pending frames, and its engine
 //!   is quiescent. Two idle ticks prove the network empty: any frame sent
 //!   at tick `t` makes its sender non-quiet at `t`, so two quiet ticks
 //!   mean the last send was at least two ticks ago and everything since
 //!   has been consumed and delivered. Outcomes are bit-identical for a
-//!   given seed — under either threading, with any reactor count.
+//!   given seed, with any reactor count.
 //! * **Free-running** — the driver polls for a sustained quiet period,
 //!   mirroring the paper's "eventually every process stops sending"
 //!   quiescence condition. Time is read through the run's [`Clock`]
@@ -27,12 +27,12 @@
 //! Crash injection kills process `p` after its configured number of local
 //! steps: under free-running pacing its endpoint is dropped (its peers'
 //! sends start failing, i.e. their messages are lost); under lockstep the
-//! node turns into a zombie that keeps draining its sockets but delivers
-//! and sends nothing — same observable semantics, still deterministic.
+//! process turns into a zombie that keeps draining its transport but
+//! delivers and sends nothing — same observable semantics, still
+//! deterministic.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
-use std::thread;
+use std::sync::Arc;
 use std::time::Duration;
 
 use agossip_core::{GossipCtx, GossipEngine, RumorSet, WireCodec, WireDecodeView};
@@ -40,20 +40,10 @@ use agossip_sim::ProcessId;
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::{ConfigError, RuntimeError};
-use crate::event_loop::{
-    run_free_node, run_lockstep_node, FreeNode, LockstepNode, NodeOutcome, SharedRun,
-};
-use crate::reactor::{reactor_of, run_free_reactor, run_lockstep_reactor, ReactorProc};
+use crate::reactor::{run_reactors, SharedRun};
 use crate::transport::Transport;
 
-/// Upper bound on poll-only settle rounds per lockstep tick. On a healthy
-/// transport a frame becomes readable within a round or two; thousands of
-/// rounds without progress means frames were truly lost (which lockstep
-/// transports never do by construction) and the run aborts with an error
-/// instead of spinning forever.
-const MAX_SETTLE_ROUNDS: u64 = 100_000;
-
-/// How the node event loops are paced.
+/// How the event loop is paced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pacing {
     /// Barrier-paced deterministic ticks with seeded delays in `1..=d`
@@ -102,21 +92,6 @@ impl Pacing {
     }
 }
 
-/// How processes are scheduled onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Threading {
-    /// One OS thread per process (the PR 5 runtime). Faithful to "a process
-    /// is a thread", but caps `n` near the machine's thread budget.
-    PerProcess,
-    /// `reactors` event-loop threads, each multiplexing the processes
-    /// pinned to it (process `p` runs on reactor `p mod reactors` — see
-    /// [`crate::reactor`]). Thousands of processes on a handful of threads.
-    Reactor {
-        /// Number of reactor threads, `≥ 1` (clamped to `n` at run time).
-        reactors: usize,
-    },
-}
-
 /// Configuration of one live run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveConfig {
@@ -131,8 +106,10 @@ pub struct LiveConfig {
     pub crashes: Vec<(ProcessId, u64)>,
     /// The pacing discipline.
     pub pacing: Pacing,
-    /// The thread scheduling discipline.
-    pub threading: Threading,
+    /// Number of reactor threads, `≥ 1` (clamped to `n` at run time).
+    /// Process `p` runs on reactor `p mod reactors`; `reactors = n` is one
+    /// thread per process.
+    pub reactors: usize,
 }
 
 impl LiveConfig {
@@ -142,11 +119,11 @@ impl LiveConfig {
     /// return a typed [`ConfigError`].
     ///
     /// ```
-    /// use agossip_runtime::{LiveConfig, Pacing, Threading};
+    /// use agossip_runtime::{LiveConfig, Pacing};
     ///
     /// let config = LiveConfig::builder(64, 4, 0xFEED)
     ///     .pacing(Pacing::lockstep())
-    ///     .threading(Threading::Reactor { reactors: 2 })
+    ///     .reactors(2)
     ///     .build()
     ///     .expect("valid config");
     /// assert_eq!(config.n, 64);
@@ -157,7 +134,8 @@ impl LiveConfig {
         }
     }
 
-    /// A deterministic lockstep configuration (thread per process).
+    /// A deterministic lockstep configuration, one thread per process
+    /// (`reactors = n`).
     pub fn lockstep(n: usize, f: usize, seed: u64) -> Self {
         LiveConfig {
             n,
@@ -165,20 +143,16 @@ impl LiveConfig {
             seed,
             crashes: Vec::new(),
             pacing: Pacing::lockstep(),
-            threading: Threading::PerProcess,
+            reactors: n,
         }
     }
 
-    /// A free-running configuration with test-friendly timing (thread per
-    /// process).
+    /// A free-running configuration with test-friendly timing, one thread
+    /// per process (`reactors = n`).
     pub fn free_running(n: usize, f: usize, seed: u64) -> Self {
         LiveConfig {
-            n,
-            f,
-            seed,
-            crashes: Vec::new(),
             pacing: Pacing::free_running(),
-            threading: Threading::PerProcess,
+            ..LiveConfig::lockstep(n, f, seed)
         }
     }
 
@@ -190,7 +164,7 @@ impl LiveConfig {
 
     /// Switches the run onto `reactors` multiplexing reactor threads.
     pub fn on_reactors(mut self, reactors: usize) -> Self {
-        self.threading = Threading::Reactor { reactors };
+        self.reactors = reactors;
         self
     }
 
@@ -219,10 +193,8 @@ impl LiveConfig {
                 return Err(ConfigError::ZeroDelayBound);
             }
         }
-        if let Threading::Reactor { reactors } = self.threading {
-            if reactors == 0 {
-                return Err(ConfigError::ZeroReactors);
-            }
+        if self.reactors == 0 {
+            return Err(ConfigError::ZeroReactors);
         }
         Ok(())
     }
@@ -250,16 +222,11 @@ impl LiveConfigBuilder {
         self
     }
 
-    /// Sets the thread scheduling discipline (defaults to
-    /// [`Threading::PerProcess`]).
-    pub fn threading(mut self, threading: Threading) -> Self {
-        self.config.threading = threading;
+    /// Sets the number of reactor threads (defaults to `n`, one thread per
+    /// process).
+    pub fn reactors(mut self, reactors: usize) -> Self {
+        self.config.reactors = reactors;
         self
-    }
-
-    /// Shorthand for [`Threading::Reactor`] with `reactors` threads.
-    pub fn reactors(self, reactors: usize) -> Self {
-        self.threading(Threading::Reactor { reactors })
     }
 
     /// Sets crash injections: each listed process halts after taking the
@@ -306,8 +273,8 @@ pub struct LiveReport {
     pub elapsed: Duration,
 }
 
-/// Runs every node of the protocol produced by `make` per the configured
-/// threading, exchanging byte frames over `transport`, until completion.
+/// Runs every process of the protocol produced by `make` on the configured
+/// reactors, exchanging byte frames over `transport`, until completion.
 /// Time is real ([`MonotonicClock`]).
 pub fn run_live<T, G, F>(
     config: &LiveConfig,
@@ -348,96 +315,21 @@ where
         .map(|pid| make(GossipCtx::new(pid, n, config.f, seed)))
         .collect();
 
-    let mut quiescent = false;
-    let mut ticks = 0u64;
-    let outcomes: Vec<NodeOutcome> = match (&config.pacing, config.threading) {
-        (&Pacing::Lockstep { d, max_ticks }, Threading::PerProcess) => {
-            let barrier = Barrier::new(n + 1);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (pid, (engine, endpoint)) in engines.into_iter().zip(endpoints).enumerate() {
-                    let node = LockstepNode {
-                        engine,
-                        endpoint,
-                        crash_after: config.crash_after(ProcessId(pid)),
-                        seed,
-                        d,
-                    };
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(scope.spawn(move || run_lockstep_node(node, shared, barrier)));
-                }
-                (quiescent, ticks) = drive_lockstep(&barrier, &shared, max_ticks);
-                join_nodes(handles, &shared)
-            })
-        }
-        (&Pacing::Lockstep { d, max_ticks }, Threading::Reactor { reactors }) => {
-            let r = reactors.min(n);
-            let barrier = Barrier::new(r + 1);
-            let groups = pin_to_reactors(config, engines, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(
-                        scope.spawn(move || run_lockstep_reactor(group, seed, d, shared, barrier)),
-                    );
-                }
-                (quiescent, ticks) = drive_lockstep(&barrier, &shared, max_ticks);
-                join_reactors(handles, n, &shared)
-            })
-        }
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::PerProcess,
-        ) => thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (pid, (engine, endpoint)) in engines.into_iter().zip(endpoints).enumerate() {
-                let node = FreeNode {
-                    engine,
-                    endpoint,
-                    crash_after: config.crash_after(ProcessId(pid)),
-                    seed,
-                    max_delay,
-                    max_step_pause,
-                };
-                let shared = &shared;
-                handles.push(scope.spawn(move || run_free_node(node, shared)));
+    let mut quiet_streak = 0u32;
+    let run = run_reactors(config, engines, endpoints, &shared, |_, shared| {
+        quiet_streak = if shared.all_quiet() {
+            quiet_streak + 1
+        } else {
+            0
+        };
+        Ok(match config.pacing {
+            // Two quiet ticks prove the network empty (see the module docs).
+            Pacing::Lockstep { .. } => quiet_streak >= 2,
+            Pacing::FreeRunning { quiet_period, .. } => {
+                quiet_streak > 0 && shared.since_last_activity() >= quiet_period
             }
-            quiescent = drive_free(&shared, quiet_period, max_duration);
-            join_nodes(handles, &shared)
-        }),
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::Reactor { reactors },
-        ) => {
-            let r = reactors.min(n);
-            let groups = pin_to_reactors(config, engines, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    handles.push(scope.spawn(move || {
-                        run_free_reactor(group, seed, max_delay, max_step_pause, shared)
-                    }));
-                }
-                quiescent = drive_free(&shared, quiet_period, max_duration);
-                join_reactors(handles, n, &shared)
-            })
-        }
-    };
-
+        })
+    });
     if let Some(error) = shared.first_error.lock().take() {
         return Err(error);
     }
@@ -447,167 +339,24 @@ where
         .collect();
     Ok(LiveReport {
         transport: transport.name(),
-        final_rumors: outcomes.iter().map(|o| o.rumors.clone()).collect(),
+        final_rumors: run.outcomes.iter().map(|o| o.rumors.clone()).collect(),
         correct,
-        steps: outcomes.iter().map(|o| o.steps).collect(),
+        steps: run.outcomes.iter().map(|o| o.steps).collect(),
         messages_sent: shared.stats.messages_sent.load(Ordering::Relaxed),
         messages_delivered: shared.stats.messages_delivered.load(Ordering::Relaxed),
         bytes_sent: shared.stats.bytes_sent.load(Ordering::Relaxed),
         decode_errors: shared.stats.decode_errors.load(Ordering::Relaxed),
-        quiescent,
-        ticks,
+        quiescent: run.quiescent,
+        ticks: run.ticks,
         elapsed: shared.elapsed(),
     })
-}
-
-/// Splits engines/endpoints into per-reactor groups by the pinning rule
-/// (`pid mod reactors`), pid-ordered within each group.
-pub(crate) fn pin_to_reactors<G, E>(
-    config: &LiveConfig,
-    engines: Vec<G>,
-    endpoints: Vec<E>,
-    reactors: usize,
-) -> Vec<Vec<(ProcessId, ReactorProc<G, E>)>> {
-    let mut groups: Vec<Vec<(ProcessId, ReactorProc<G, E>)>> =
-        (0..reactors).map(|_| Vec::new()).collect();
-    for (i, (engine, endpoint)) in engines.into_iter().zip(endpoints).enumerate() {
-        let pid = ProcessId(i);
-        groups[reactor_of(pid, reactors)].push((
-            pid,
-            ReactorProc {
-                engine,
-                endpoint,
-                crash_after: config.crash_after(pid),
-            },
-        ));
-    }
-    groups
-}
-
-/// The driver's side of the lockstep tick protocol: arbitrates the settle
-/// handshake, then the quiet check, as the extra barrier participant. The
-/// node side may be thread-per-process event loops or reactor threads —
-/// the protocol is identical. Returns `(quiescent, ticks)`.
-fn drive_lockstep(barrier: &Barrier, shared: &SharedRun, max_ticks: u64) -> (bool, u64) {
-    let mut quiescent = false;
-    let mut ticks = 0u64;
-    let mut quiet_streak = 0u32;
-    'ticks: loop {
-        // Settle rounds.
-        let mut settle_rounds = 0u64;
-        loop {
-            barrier.wait(); // nodes have polled
-            let sent = shared.stats.messages_sent.load(Ordering::Relaxed);
-            let consumed = shared.stats.frames_consumed.load(Ordering::Relaxed);
-            let settled = sent == consumed;
-            shared.settled.store(settled, Ordering::Relaxed);
-            settle_rounds += 1;
-            if settle_rounds > MAX_SETTLE_ROUNDS {
-                shared.record_error(RuntimeError::Config(format!(
-                    "transport failed to settle: {consumed}/{sent} frames \
-                     consumed after {settle_rounds} poll rounds"
-                )));
-            }
-            if shared.has_error() {
-                shared.stop.store(true, Ordering::Relaxed);
-            }
-            let stopping = shared.stop.load(Ordering::Relaxed);
-            barrier.wait(); // verdict published
-            if stopping {
-                break 'ticks;
-            }
-            if settled {
-                break;
-            }
-            // Unsettled on a kernel transport: give the softirq path a
-            // moment before the next poll round.
-            thread::yield_now();
-        }
-        // Quiet check.
-        barrier.wait();
-        ticks += 1;
-        let all_quiet = shared.quiet.iter().all(|flag| flag.load(Ordering::Relaxed));
-        quiet_streak = if all_quiet { quiet_streak + 1 } else { 0 };
-        if quiet_streak >= 2 {
-            quiescent = true;
-            shared.stop.store(true, Ordering::Relaxed);
-        }
-        if ticks >= max_ticks || shared.has_error() {
-            shared.stop.store(true, Ordering::Relaxed);
-        }
-        let stopping = shared.stop.load(Ordering::Relaxed);
-        barrier.wait();
-        if stopping {
-            break;
-        }
-    }
-    (quiescent, ticks)
-}
-
-/// The driver's side of a free-running run: wait for sustained quiet or
-/// the clock limit, then raise the stop flag. Returns `quiescent`.
-fn drive_free(shared: &SharedRun, quiet_period: Duration, max_duration: Duration) -> bool {
-    let mut quiescent = false;
-    loop {
-        thread::sleep(Duration::from_millis(5));
-        if shared.elapsed() >= max_duration || shared.has_error() {
-            break;
-        }
-        let all_quiet = shared.quiet.iter().all(|flag| flag.load(Ordering::Relaxed));
-        if all_quiet && shared.since_last_activity() >= quiet_period {
-            quiescent = true;
-            break;
-        }
-    }
-    shared.stop.store(true, Ordering::Relaxed);
-    quiescent
-}
-
-/// Joins the node threads, converting any panic into a recorded
-/// [`RuntimeError::NodePanicked`] instead of propagating it. `run_live`
-/// surfaces the first recorded error before the (then short) outcome list
-/// is ever read.
-pub(crate) fn join_nodes<'scope>(
-    handles: Vec<thread::ScopedJoinHandle<'scope, NodeOutcome>>,
-    shared: &SharedRun,
-) -> Vec<NodeOutcome> {
-    let mut outcomes = Vec::with_capacity(handles.len());
-    for handle in handles {
-        match handle.join() {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(_) => shared.record_error(RuntimeError::NodePanicked),
-        }
-    }
-    outcomes
-}
-
-/// Joins reactor threads and re-assembles their per-process outcomes into
-/// pid order. A panicked reactor is recorded like a panicked node; the
-/// error is surfaced before the (then short) outcome list is read.
-pub(crate) fn join_reactors<'scope>(
-    handles: Vec<thread::ScopedJoinHandle<'scope, Vec<(ProcessId, NodeOutcome)>>>,
-    n: usize,
-    shared: &SharedRun,
-) -> Vec<NodeOutcome> {
-    let mut by_pid: Vec<Option<NodeOutcome>> = (0..n).map(|_| None).collect();
-    for handle in handles {
-        match handle.join() {
-            Ok(outcomes) => {
-                for (pid, outcome) in outcomes {
-                    by_pid[pid.index()] = Some(outcome);
-                }
-            }
-            Err(_) => shared.record_error(RuntimeError::NodePanicked),
-        }
-    }
-    by_pid.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::FakeClock;
-    use crate::transport::{ChannelTransport, SocketTransport};
+    use crate::transport::{ChannelTransport, Endpoint, RawFrame, SendOutcome, SocketTransport};
     use agossip_core::{check_gossip, Ears, GossipSpec, Rumor, Tears, Trivial};
 
     fn initial_rumors(n: usize) -> Vec<Rumor> {
@@ -643,7 +392,7 @@ mod tests {
 
     #[test]
     fn lockstep_reactor_matches_per_process_bit_for_bit() {
-        // The same configuration under thread-per-process and under 1, 3,
+        // The same configuration on one thread per process and on 1, 3,
         // and 8 reactors: identical outcomes and counters everywhere.
         let base = LiveConfig::lockstep(12, 3, 7)
             .with_crashes(vec![(ProcessId(10), 2), (ProcessId(11), 0)]);
@@ -777,7 +526,7 @@ mod tests {
     #[test]
     fn builder_validates_at_build_time() {
         let ok = LiveConfig::builder(8, 2, 7).reactors(2).build().unwrap();
-        assert_eq!(ok.threading, Threading::Reactor { reactors: 2 });
+        assert_eq!(ok.reactors, 2);
         assert_eq!(ok, LiveConfig::lockstep(8, 2, 7).on_reactors(2));
         assert_eq!(
             LiveConfig::builder(0, 0, 7).build(),
@@ -806,6 +555,53 @@ mod tests {
             LiveConfig::builder(4, 1, 7).reactors(0).build(),
             Err(ConfigError::ZeroReactors)
         );
+    }
+
+    /// A transport that accepts every frame and never yields one.
+    struct BlackHole;
+
+    struct BlackHoleEndpoint(ProcessId);
+
+    impl Endpoint for BlackHoleEndpoint {
+        fn pid(&self) -> ProcessId {
+            self.0
+        }
+
+        fn send(&mut self, _to: ProcessId, _payload: &[u8]) -> Result<SendOutcome, RuntimeError> {
+            Ok(SendOutcome::Sent)
+        }
+
+        fn poll_into(&mut self, _out: &mut Vec<RawFrame>) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+    }
+
+    impl Transport for BlackHole {
+        type Endpoint = BlackHoleEndpoint;
+
+        fn name(&self) -> &'static str {
+            "black-hole"
+        }
+
+        fn open(&self, n: usize) -> Result<Vec<BlackHoleEndpoint>, RuntimeError> {
+            Ok(ProcessId::all(n).map(BlackHoleEndpoint).collect())
+        }
+    }
+
+    #[test]
+    fn a_transport_that_never_drains_is_a_settle_timeout() {
+        let config = LiveConfig::lockstep(2, 0, 1).on_reactors(1);
+        match run_live(&config, &BlackHole, Trivial::new) {
+            Err(RuntimeError::SettleTimeout {
+                sent,
+                consumed,
+                rounds,
+            }) => {
+                assert_eq!((sent, consumed), (2, 0));
+                assert_eq!(rounds, 100_001);
+            }
+            other => panic!("expected SettleTimeout, got {other:?}"),
+        }
     }
 
     #[test]

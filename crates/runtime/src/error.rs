@@ -23,9 +23,22 @@ pub enum RuntimeError {
     Codec(CodecError),
     /// The configuration is invalid (e.g. `f ≥ n`).
     Config(String),
-    /// A node thread panicked instead of returning an outcome. The driver
-    /// records this and aborts the run; the panic payload is not preserved.
+    /// A reactor thread panicked instead of returning its outcomes. The
+    /// driver records this and aborts the run; the panic payload is not
+    /// preserved.
     NodePanicked,
+    /// A lockstep tick's settle handshake never saw every sent frame taken
+    /// off the transport: after `rounds` poll-only rounds only `consumed` of
+    /// `sent` frames had arrived. Lockstep transports never lose a frame
+    /// they accepted, so this means a broken transport, not a slow one.
+    SettleTimeout {
+        /// Frames handed to the transport so far.
+        sent: u64,
+        /// Frames taken off it (or booked lost) so far.
+        consumed: u64,
+        /// Poll-only settle rounds spent on the tick.
+        rounds: u64,
+    },
     /// A service-mode epoch stopped making progress: it neither settled nor
     /// showed any send/deliver activity for longer than the configured stall
     /// bound. This replaces the old behaviour of hanging silently until
@@ -65,8 +78,7 @@ pub enum ConfigError {
     },
     /// Lockstep pacing with `d == 0`: every delay is drawn from `1..=d`.
     ZeroDelayBound,
-    /// `Threading::Reactor { reactors: 0 }`: at least one reactor thread is
-    /// required.
+    /// `reactors == 0`: at least one reactor thread is required.
     ZeroReactors,
     /// A service config with `window == 0`: no epoch could ever be admitted.
     ZeroWindow,
@@ -122,7 +134,16 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Io { context, source } => write!(f, "{context}: {source}"),
             RuntimeError::Codec(e) => write!(f, "frame decode failed: {e}"),
             RuntimeError::Config(reason) => write!(f, "invalid runtime config: {reason}"),
-            RuntimeError::NodePanicked => write!(f, "a node thread panicked"),
+            RuntimeError::NodePanicked => write!(f, "a reactor thread panicked"),
+            RuntimeError::SettleTimeout {
+                sent,
+                consumed,
+                rounds,
+            } => write!(
+                f,
+                "transport failed to settle: {consumed}/{sent} frames consumed \
+                 after {rounds} poll rounds"
+            ),
             RuntimeError::EpochStalled { epoch, stalled_for } => {
                 write!(f, "epoch {epoch} stalled for {stalled_for} time units")
             }
@@ -136,8 +157,9 @@ impl std::error::Error for RuntimeError {
             RuntimeError::Io { source, .. } => Some(source),
             RuntimeError::Codec(e) => Some(e),
             RuntimeError::Config(_) => None,
-            RuntimeError::NodePanicked => None,
-            RuntimeError::EpochStalled { .. } => None,
+            RuntimeError::NodePanicked
+            | RuntimeError::SettleTimeout { .. }
+            | RuntimeError::EpochStalled { .. } => None,
         }
     }
 }

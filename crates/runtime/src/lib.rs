@@ -12,15 +12,15 @@
 //! * every message crosses a [`transport::Transport`] as encoded bytes
 //!   (the [`agossip_core::codec`] wire format) — in-process channels, or
 //!   loopback TCP / Unix-domain sockets with kernel-level framing;
-//! * each process runs an event loop that decodes frames, drives the
-//!   engine and encodes its output — either one OS thread per process, or
-//!   many processes multiplexed onto a handful of [`reactor`] threads
-//!   ([`driver::Threading`]);
-//! * the [`driver::LiveDriver`-style entry point][driver::run_live] runs
-//!   `n` concurrent processes to gossip completion under either
-//!   deterministic lockstep pacing (bit-identical per seed, for any
-//!   threading and reactor count) or free-running pacing (real scheduling
-//!   nondeterminism);
+//! * every process is a slot in one event loop that decodes frames, drives
+//!   the engine and encodes its output; [`LiveConfig::reactors`] event-loop
+//!   threads multiplex the processes ([`reactor`]; `reactors = n` is one
+//!   thread per process);
+//! * [`driver::run_live`] runs `n` concurrent processes to gossip
+//!   completion under either deterministic lockstep pacing (bit-identical
+//!   per seed, for any reactor count) or free-running pacing (real
+//!   scheduling nondeterminism), and [`service::run_service`] keeps them
+//!   under a continuous stream of rumor epochs;
 //! * free-running time is read through the [`clock::Clock`] trait, so
 //!   tests can drive delays from a [`clock::FakeClock`] instead of real
 //!   sleeps ([`driver::run_live_with_clock`]);
@@ -29,14 +29,11 @@
 //!
 //! The runtime mirrors the paper's model:
 //!
-//! * a *local step* is one iteration of a node's loop (deliver whatever has
-//!   arrived and is past its injected delay, compute, send);
+//! * a *local step* is one turn of a process's slot in the loop (deliver
+//!   whatever has arrived and is past its injected delay, compute, send);
 //! * the injected per-message delay bound plays the role of `d`;
 //! * the per-node pacing jitter plays the role of `δ`;
-//! * crash injection halts a node permanently.
-//!
-//! The original [`harness::run_threaded`] API survives as a veneer over
-//! [`driver::run_live`].
+//! * crash injection halts a process permanently.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms, unreachable_pub)]
@@ -45,19 +42,16 @@
 pub mod clock;
 pub mod driver;
 mod error;
-mod event_loop;
-pub mod harness;
 pub mod reactor;
 pub mod service;
 pub mod transport;
 
 pub use clock::{Clock, FakeClock, MonotonicClock};
 pub use driver::{
-    run_live, run_live_with_clock, LiveConfig, LiveConfigBuilder, LiveReport, Pacing, Threading,
+    run_live, run_live_with_clock, LiveConfig, LiveConfigBuilder, LiveReport, Pacing,
 };
 pub use error::{ConfigError, RuntimeError};
-pub use event_loop::RunStats;
-pub use harness::{run_threaded, RuntimeConfig, RuntimeReport};
+pub use reactor::RunStats;
 pub use service::{run_service, run_service_with_clock, EpochReport, ServiceConfig, ServiceReport};
 pub use transport::{
     frame_bytes, ChannelTransport, Endpoint, FrameBuf, RawFrame, SendOutcome, SocketKind,

@@ -11,10 +11,11 @@
 //! runs an [`EpochMux`] (one inner engine per open epoch, multiplexed over
 //! the node's single transport endpoint via `EpochMsg` envelope frames),
 //! and driver ↔ node coordination travels through a shared [`EpochBoard`]
-//! (admission frontier, per-epoch activity clocks, harvest cells). The node
-//! event loops and reactor threads are **unchanged** — an `EpochMux` is
-//! just another [`GossipEngine`], so the same lockstep barrier protocol and
-//! free-running loops that drive one-shot runs drive service runs too.
+//! (admission frontier, per-epoch activity clocks, harvest cells). The
+//! event loop is **unchanged** — an `EpochMux` is just another
+//! [`GossipEngine`], so the reactors and drivers that carry one-shot runs
+//! carry service runs too; only the driver's per-tick hook differs
+//! (the epoch state machine instead of the quiet-streak counter).
 //!
 //! ## Epoch lifecycle
 //!
@@ -26,7 +27,7 @@
 //!   [`service_open_upto`]`(mode, window, total, now, finalized)`, a pure
 //!   monotone function of driver time and completed epochs: this is the
 //!   epoch scheduler, and being a pure function of `(seed, tick)` is what
-//!   keeps lockstep service runs bit-identical across threadings.
+//!   keeps lockstep service runs bit-identical across reactor counts.
 //! * **Open** — each node instantiates the epoch's engine at its next local
 //!   step, seeded from [`agossip_core::epoch::epoch_seed`], with its
 //!   generated per-epoch rumor.
@@ -48,8 +49,7 @@
 //! [`service_open_upto`]: agossip_core::service_open_upto
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
-use std::thread;
+use std::sync::Arc;
 use std::time::Duration;
 
 use agossip_core::{
@@ -58,19 +58,14 @@ use agossip_core::{
 };
 use agossip_sim::ProcessId;
 
-use crate::clock::{Clock, MonotonicClock};
-use crate::driver::{join_nodes, join_reactors, pin_to_reactors, LiveConfig, Pacing, Threading};
+use crate::clock::{duration_to_millis, Clock, MonotonicClock};
+use crate::driver::{LiveConfig, Pacing};
 use crate::error::{ConfigError, RuntimeError};
-use crate::event_loop::{run_free_node, run_lockstep_node, FreeNode, LockstepNode, SharedRun};
-use crate::reactor::{run_free_reactor, run_lockstep_reactor};
+use crate::reactor::{run_reactors, SharedRun};
 use crate::transport::Transport;
 
-/// Upper bound on poll-only settle rounds per lockstep tick (see
-/// [`crate::driver`]); service runs use the same transport guarantee.
-const MAX_SETTLE_ROUNDS: u64 = 100_000;
-
 /// Configuration of a service run: a [`LiveConfig`] (processes, pacing,
-/// threading, crashes — build one with [`LiveConfig::builder`]) plus the
+/// reactors, crashes — build one with [`LiveConfig::builder`]) plus the
 /// epoch pipeline knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -109,7 +104,8 @@ impl ServiceConfig {
         }
     }
 
-    /// Shorthand: a lockstep closed-loop service run (thread per process).
+    /// Shorthand: a lockstep closed-loop service run (one thread per
+    /// process).
     pub fn lockstep(n: usize, f: usize, seed: u64, epochs: u64) -> Self {
         ServiceConfig::new(LiveConfig::lockstep(n, f, seed), epochs)
     }
@@ -156,8 +152,8 @@ impl ServiceConfig {
         {
             if quiet_period <= max_delay {
                 return Err(ConfigError::QuietPeriodTooShort {
-                    quiet_period_ms: quiet_period.as_millis() as u64,
-                    max_delay_ms: max_delay.as_millis() as u64,
+                    quiet_period_ms: duration_to_millis(quiet_period),
+                    max_delay_ms: duration_to_millis(max_delay),
                 });
             }
         }
@@ -276,7 +272,11 @@ struct ServiceTracker {
 }
 
 impl ServiceTracker {
-    fn new(config: &ServiceConfig, board: Arc<EpochBoard>, margin: u64, lockstep: bool) -> Self {
+    fn new(config: &ServiceConfig, board: Arc<EpochBoard>) -> Self {
+        let (margin, lockstep) = match config.live.pacing {
+            Pacing::Lockstep { d, .. } => (d, true),
+            Pacing::FreeRunning { quiet_period, .. } => (duration_to_millis(quiet_period), false),
+        };
         let n = config.live.n;
         let correct: Vec<bool> = ProcessId::all(n)
             .map(|pid| config.live.crash_after(pid).is_none())
@@ -360,8 +360,8 @@ impl ServiceTracker {
     /// Lockstep: the request was published at tick `detected_at` with the
     /// nodes parked, every live node harvests during tick `detected_at+1`,
     /// so one full tick suffices. Free-running: wait until every
-    /// never-crash-injected node has pushed (crashed nodes' engines died
-    /// with their threads).
+    /// never-crash-injected node has pushed (a crashed node's slot is
+    /// deregistered and never steps again).
     fn harvest_ready(&self, slot: usize, detected_at: u64, now: u64) -> bool {
         if self.lockstep {
             return now > detected_at;
@@ -487,107 +487,20 @@ where
         })
         .collect();
 
-    let mut quiescent = false;
-    let mut ticks = 0u64;
-    let mut tracker;
-    let outcomes = match (&config.live.pacing, config.live.threading) {
-        (&Pacing::Lockstep { d, max_ticks }, Threading::PerProcess) => {
-            tracker = ServiceTracker::new(config, Arc::clone(&board), d, true);
-            let barrier = Barrier::new(n + 1);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (pid, (engine, endpoint)) in muxes.into_iter().zip(endpoints).enumerate() {
-                    let node = LockstepNode {
-                        engine,
-                        endpoint,
-                        crash_after: config.live.crash_after(ProcessId(pid)),
-                        seed,
-                        d,
-                    };
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(scope.spawn(move || run_lockstep_node(node, shared, barrier)));
-                }
-                (quiescent, ticks) =
-                    drive_service_lockstep(&barrier, &shared, &mut tracker, max_ticks);
-                join_nodes(handles, &shared)
-            })
-        }
-        (&Pacing::Lockstep { d, max_ticks }, Threading::Reactor { reactors }) => {
-            tracker = ServiceTracker::new(config, Arc::clone(&board), d, true);
-            let r = reactors.min(n);
-            let barrier = Barrier::new(r + 1);
-            let groups = pin_to_reactors(&config.live, muxes, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    let barrier = &barrier;
-                    handles.push(
-                        scope.spawn(move || run_lockstep_reactor(group, seed, d, shared, barrier)),
-                    );
-                }
-                (quiescent, ticks) =
-                    drive_service_lockstep(&barrier, &shared, &mut tracker, max_ticks);
-                join_reactors(handles, n, &shared)
-            })
-        }
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::PerProcess,
-        ) => {
-            let margin = quiet_period.as_millis() as u64;
-            tracker = ServiceTracker::new(config, Arc::clone(&board), margin, false);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (pid, (engine, endpoint)) in muxes.into_iter().zip(endpoints).enumerate() {
-                    let node = FreeNode {
-                        engine,
-                        endpoint,
-                        crash_after: config.live.crash_after(ProcessId(pid)),
-                        seed,
-                        max_delay,
-                        max_step_pause,
-                    };
-                    let shared = &shared;
-                    handles.push(scope.spawn(move || run_free_node(node, shared)));
-                }
-                quiescent = drive_service_free(&shared, &mut tracker, max_duration);
-                join_nodes(handles, &shared)
-            })
-        }
-        (
-            &Pacing::FreeRunning {
-                max_delay,
-                max_step_pause,
-                quiet_period,
-                max_duration,
-            },
-            Threading::Reactor { reactors },
-        ) => {
-            let margin = quiet_period.as_millis() as u64;
-            tracker = ServiceTracker::new(config, Arc::clone(&board), margin, false);
-            let r = reactors.min(n);
-            let groups = pin_to_reactors(&config.live, muxes, endpoints, r);
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(r);
-                for group in groups {
-                    let shared = &shared;
-                    handles.push(scope.spawn(move || {
-                        run_free_reactor(group, seed, max_delay, max_step_pause, shared)
-                    }));
-                }
-                quiescent = drive_service_free(&shared, &mut tracker, max_duration);
-                join_reactors(handles, n, &shared)
-            })
-        }
-    };
-
+    // The first epochs are admitted before any reactor takes its first
+    // local step (lockstep tick 0).
+    let mut tracker = ServiceTracker::new(config, Arc::clone(&board));
+    board.set_now(0);
+    tracker.admit(0);
+    let run = run_reactors(&config.live, muxes, endpoints, &shared, |now, _| {
+        // Lockstep: `now` is the tick the reactors just computed, and
+        // admissions are for the tick they compute next. Free-running: both
+        // are the current millisecond.
+        let next = now + u64::from(tracker.lockstep);
+        board.set_now(next);
+        tracker.step(now, next)?;
+        Ok(tracker.done())
+    });
     if let Some(error) = shared.first_error.lock().take() {
         return Err(error);
     }
@@ -595,121 +508,17 @@ where
     Ok(ServiceReport {
         transport: transport.name(),
         epochs: tracker.reports,
-        steps: outcomes.iter().map(|o| o.steps).collect(),
+        steps: run.outcomes.iter().map(|o| o.steps).collect(),
         messages_sent: shared.stats.messages_sent.load(Ordering::Relaxed),
         messages_delivered: shared.stats.messages_delivered.load(Ordering::Relaxed),
         bytes_sent: shared.stats.bytes_sent.load(Ordering::Relaxed),
         decode_errors: shared.stats.decode_errors.load(Ordering::Relaxed),
         stale_drops: board.stale_drops(),
         max_open: tracker.max_open,
-        quiescent,
-        ticks,
+        quiescent: run.quiescent,
+        ticks: run.ticks,
         elapsed: shared.elapsed(),
     })
-}
-
-/// The service variant of the lockstep driver: the identical settle / quiet
-/// barrier protocol (nodes can't tell the difference), but between the two
-/// quiet-check barriers — with every node parked — the driver runs the
-/// epoch state machine instead of counting quiet streaks: finalize settled
-/// epochs, detect newly-settled ones, advance driver time, publish the
-/// admission frontier for the tick the nodes are about to compute. The run
-/// stops when every epoch has finalized (or on error / tick limit).
-fn drive_service_lockstep(
-    barrier: &Barrier,
-    shared: &SharedRun,
-    svc: &mut ServiceTracker,
-    max_ticks: u64,
-) -> (bool, u64) {
-    // Nodes read the admission frontier during their first local step
-    // (tick 0), which happens before the first quiet-check window — so the
-    // first epochs are admitted before the tick loop begins.
-    svc.board.set_now(0);
-    svc.admit(0);
-    let mut quiescent = false;
-    let mut ticks = 0u64;
-    'ticks: loop {
-        // Settle rounds — byte-identical to the one-shot driver's.
-        let mut settle_rounds = 0u64;
-        loop {
-            barrier.wait(); // nodes have polled
-            let sent = shared.stats.messages_sent.load(Ordering::Relaxed);
-            let consumed = shared.stats.frames_consumed.load(Ordering::Relaxed);
-            let settled = sent == consumed;
-            shared.settled.store(settled, Ordering::Relaxed);
-            settle_rounds += 1;
-            if settle_rounds > MAX_SETTLE_ROUNDS {
-                shared.record_error(RuntimeError::Config(format!(
-                    "transport failed to settle: {consumed}/{sent} frames \
-                     consumed after {settle_rounds} poll rounds"
-                )));
-            }
-            if shared.has_error() {
-                shared.stop.store(true, Ordering::Relaxed);
-            }
-            let stopping = shared.stop.load(Ordering::Relaxed);
-            barrier.wait(); // verdict published
-            if stopping {
-                break 'ticks;
-            }
-            if settled {
-                break;
-            }
-            thread::yield_now();
-        }
-        // Quiet-check window: nodes are parked between these two waits.
-        barrier.wait();
-        ticks += 1;
-        let t = ticks - 1; // the tick the nodes just computed
-        if let Err(error) = svc.step(t, t + 1) {
-            shared.record_error(error);
-        }
-        svc.board.set_now(t + 1);
-        if svc.done() {
-            quiescent = true;
-            shared.stop.store(true, Ordering::Relaxed);
-        }
-        if ticks >= max_ticks || shared.has_error() {
-            shared.stop.store(true, Ordering::Relaxed);
-        }
-        let stopping = shared.stop.load(Ordering::Relaxed);
-        barrier.wait();
-        if stopping {
-            break;
-        }
-    }
-    (quiescent, ticks)
-}
-
-/// The service variant of the free-running driver: poll the board on the
-/// millisecond clock, run the epoch state machine, stop when every epoch
-/// has finalized (or on error / stall / the clock limit).
-fn drive_service_free(
-    shared: &SharedRun,
-    svc: &mut ServiceTracker,
-    max_duration: Duration,
-) -> bool {
-    svc.board.set_now(0);
-    svc.admit(0);
-    let mut quiescent = false;
-    loop {
-        thread::sleep(Duration::from_millis(5));
-        let now = shared.elapsed().as_millis() as u64;
-        svc.board.set_now(now);
-        if shared.elapsed() >= max_duration || shared.has_error() {
-            break;
-        }
-        if let Err(error) = svc.step(now, now) {
-            shared.record_error(error);
-            break;
-        }
-        if svc.done() {
-            quiescent = true;
-            break;
-        }
-    }
-    shared.stop.store(true, Ordering::Relaxed);
-    quiescent
 }
 
 #[cfg(test)]
@@ -786,14 +595,14 @@ mod tests {
 
     #[test]
     fn lockstep_service_reports_are_identical_across_threadings() {
-        let run = |threading: Threading| {
+        let run = |reactors: usize| {
             let mut config = ServiceConfig::lockstep(12, 2, 0x5EED_0005, 8).with_window(4);
-            config.live.threading = threading;
+            config.live.reactors = reactors;
             run_service(&config, &ChannelTransport, Trivial::new).expect("service run")
         };
-        let base = run(Threading::PerProcess);
+        let base = run(12);
         for reactors in [1usize, 3] {
-            let other = run(Threading::Reactor { reactors });
+            let other = run(reactors);
             assert_eq!(base.epochs.len(), other.epochs.len());
             for (a, b) in base.epochs.iter().zip(&other.epochs) {
                 assert_eq!(a.epoch, b.epoch);

@@ -1,7 +1,7 @@
 //! The live-vs-simulator differential harness.
 //!
 //! One entry point, [`live_vs_sim`], runs a protocol on the live runtime
-//! (any transport, any pacing, any threading) and optionally the
+//! (any transport, any pacing, any reactor count) and optionally the
 //! discrete-event simulator at the same parameters, and judges both
 //! executions with the *same* correctness checker. The returned [`Verdict`]
 //! carries everything a test needs to assert: the live report, both
@@ -12,7 +12,7 @@
 //! the run-both-sides-and-compare dance, so a new execution substrate (the
 //! reactor) would have meant another copy per case. Expressed through the
 //! harness, the whole matrix — channel/TCP/UDS × lockstep/free-running —
-//! re-runs under any [`Threading`] by flipping one field on the
+//! re-runs on any reactor count by flipping one field on the
 //! [`LiveConfig`].
 
 use agossip_core::{
@@ -20,7 +20,7 @@ use agossip_core::{
     WireCodec, WireDecodeView,
 };
 use agossip_runtime::{
-    run_live, ChannelTransport, LiveConfig, LiveReport, RuntimeError, SocketTransport, Threading,
+    run_live, ChannelTransport, LiveConfig, LiveReport, RuntimeError, SocketTransport,
 };
 use agossip_sim::{FairObliviousAdversary, ProcessId, SimConfig};
 
@@ -64,7 +64,7 @@ pub struct SimSide {
 /// differ against.
 #[derive(Debug, Clone)]
 pub struct DiffConfig {
-    /// The live-runtime configuration (pacing, threading, crashes).
+    /// The live-runtime configuration (pacing, reactors, crashes).
     pub live: LiveConfig,
     /// The transport the live side runs over.
     pub transport: TransportKind,
@@ -212,10 +212,11 @@ where
     })
 }
 
-/// The threading disciplines every differential case should survive: the
-/// PR 5 thread-per-process runtime and a small multi-reactor configuration.
-pub fn threadings() -> Vec<Threading> {
-    vec![Threading::PerProcess, Threading::Reactor { reactors: 2 }]
+/// The reactor counts every differential case of `n` processes should
+/// survive: one thread per process, and a small multi-reactor
+/// configuration.
+pub fn reactor_counts(n: usize) -> [usize; 2] {
+    [n, 2]
 }
 
 /// Panics unless two lockstep reports are bit-identical: same rumor sets,

@@ -38,7 +38,7 @@ use agossip_core::{
     run_gossip, run_service_sim, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet,
     SimServiceConfig, Tears, TearsFlag, TearsMessage, Trivial,
 };
-use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Threading};
+use agossip_runtime::{run_live, ChannelTransport, LiveConfig};
 use agossip_sim::{ProcessId, SimConfig};
 
 /// Forwards to the system allocator, counting every allocation call and the
@@ -144,8 +144,9 @@ fn reactor_lockstep_run_allocates_amortized_zero_per_frame() {
     let crashes: Vec<(ProcessId, u64)> = (0..16)
         .map(|i| (ProcessId(255 - i), (i % 4) as u64))
         .collect();
-    let mut config = LiveConfig::lockstep(256, 16, 0xD1CE_2008).with_crashes(crashes);
-    config.threading = Threading::Reactor { reactors: 8 };
+    let config = LiveConfig::lockstep(256, 16, 0xD1CE_2008)
+        .with_crashes(crashes)
+        .on_reactors(8);
     let params = tears_params_for_a(config.n, scale_a_target(config.n));
 
     let window = ALLOC_WINDOW.lock().unwrap();

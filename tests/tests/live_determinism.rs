@@ -3,9 +3,10 @@
 //! with staggered crashes is folded into a single `u64` digest covering
 //! every observable of the report — per-process rumor sets, step counts,
 //! correctness flags, and the global wire counters. The digest must
-//! reproduce the pinned constant exactly, on thread-per-process *and* on
-//! every reactor count — multiplexing 256 processes onto 1, 2 or 8 reactor
-//! threads may not perturb a single bit of the outcome.
+//! reproduce the pinned constant exactly on every reactor count, from one
+//! thread per process (`reactors = n`) down to one — multiplexing 256
+//! processes onto 1, 2 or 8 reactor threads may not perturb a single bit
+//! of the outcome.
 //!
 //! The protocol is `tears` with the scale-calibrated neighbourhood size
 //! (the same parameterisation the `live_scale` scenario runs): its
@@ -20,12 +21,12 @@
 
 use agossip_analysis::experiments::scale::{scale_a_target, tears_params_for_a};
 use agossip_core::Tears;
-use agossip_runtime::{run_live, ChannelTransport, LiveConfig, LiveReport, Threading};
+use agossip_runtime::{run_live, ChannelTransport, LiveConfig, LiveReport};
 use agossip_sim::rng::splitmix64;
 use agossip_sim::ProcessId;
 
-/// The digest every threading discipline must reproduce for the pinned
-/// configuration below. Captured from the thread-per-process run.
+/// The digest every reactor count must reproduce for the pinned
+/// configuration below. Captured from a one-thread-per-process run.
 const GOLDEN_DIGEST: u64 = 0xCDBC_B8D8_ECD7_BD89;
 
 fn fold(h: u64, x: u64) -> u64 {
@@ -73,42 +74,40 @@ fn pinned_config() -> LiveConfig {
     LiveConfig::lockstep(256, 16, 0xD1CE_2008).with_crashes(crashes)
 }
 
-fn pinned_run(threading: Threading) -> LiveReport {
-    let mut config = pinned_config();
-    config.threading = threading;
+fn pinned_run(reactors: usize) -> LiveReport {
+    let config = pinned_config().on_reactors(reactors);
     let params = tears_params_for_a(config.n, scale_a_target(config.n));
     let report = run_live(&config, &ChannelTransport, move |ctx| {
         Tears::with_params(ctx, params)
     })
     .unwrap();
-    assert!(report.quiescent, "{threading:?} run did not quiesce");
-    assert_eq!(report.decode_errors, 0, "{threading:?}");
+    assert!(
+        report.quiescent,
+        "run on {reactors} reactors did not quiesce"
+    );
+    assert_eq!(report.decode_errors, 0, "{reactors} reactors");
     report
 }
 
 #[test]
 fn lockstep_n256_with_crashes_digest_is_pinned_across_threadings() {
-    for threading in [
-        Threading::PerProcess,
-        Threading::Reactor { reactors: 1 },
-        Threading::Reactor { reactors: 2 },
-        Threading::Reactor { reactors: 8 },
-    ] {
-        let d = digest(&pinned_run(threading));
+    // `n` reactors is one thread per process.
+    for reactors in [256, 1, 2, 8] {
+        let d = digest(&pinned_run(reactors));
         assert_eq!(
             d, GOLDEN_DIGEST,
-            "digest under {threading:?} diverged from the pin \
+            "digest on {reactors} reactors diverged from the pin \
              (got {d:#018x}); if the runtime changed deliberately, re-pin"
         );
     }
 }
 
-/// Repeating the run on the same threading reproduces the digest too —
-/// determinism across repeats, not just across disciplines.
+/// Repeating the run on the same reactor count reproduces the digest too —
+/// determinism across repeats, not just across reactor counts.
 #[test]
 fn lockstep_n256_digest_is_stable_across_repeats() {
-    let first = digest(&pinned_run(Threading::Reactor { reactors: 8 }));
-    let second = digest(&pinned_run(Threading::Reactor { reactors: 8 }));
+    let first = digest(&pinned_run(8));
+    let second = digest(&pinned_run(8));
     assert_eq!(first, second);
     assert_eq!(first, GOLDEN_DIGEST);
 }

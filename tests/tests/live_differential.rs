@@ -6,34 +6,34 @@
 //! sets.
 //!
 //! Because every case goes through `live_vs_sim`, the whole matrix —
-//! channel/TCP/UDS × lockstep/free-running — runs under both threading
-//! disciplines (thread-per-process and multiplexing reactors) by iterating
-//! [`live_harness::threadings`]: the reactor inherits every PR 5 acceptance
-//! case for free.
+//! channel/TCP/UDS × lockstep/free-running — runs both on one thread per
+//! process and on a few multiplexing reactors by iterating
+//! [`live_harness::reactor_counts`]: every acceptance case covers both
+//! for free.
 
 use agossip_core::{Ears, GossipSpec, Tears};
-use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Pacing, Threading};
+use agossip_runtime::{run_live, ChannelTransport, LiveConfig, Pacing};
 use agossip_sim::ProcessId;
 use agossip_xtests::live_harness::{
-    assert_bit_identical, live_vs_sim, threadings, DiffConfig, SimSide, TransportKind,
+    assert_bit_identical, live_vs_sim, reactor_counts, DiffConfig, SimSide, TransportKind,
 };
 
 /// The live runtime and the simulator, running the same protocol from the
 /// same seed, must both produce executions the correctness checker accepts —
 /// and for full gossip without crashes, the *same* final rumor sets: every
 /// correct process ends holding every rumor, in both substrates. Holds under
-/// every threading discipline.
+/// every reactor count.
 #[test]
 fn live_and_simulated_ears_agree_with_the_checker() {
-    for threading in threadings() {
-        let mut live = LiveConfig {
+    for reactors in reactor_counts(16) {
+        let live = LiveConfig {
             pacing: Pacing::Lockstep {
                 d: 2,
                 max_ticks: 1 << 20,
             },
             ..LiveConfig::lockstep(16, 4, 77)
-        };
-        live.threading = threading;
+        }
+        .on_reactors(reactors);
         let case = DiffConfig {
             live,
             transport: TransportKind::Channel,
@@ -49,12 +49,11 @@ fn live_and_simulated_ears_agree_with_the_checker() {
 }
 
 /// Majority gossip differential: the checker that judges simulated `tears`
-/// runs accepts the live runs too, under every threading discipline.
+/// runs accepts the live runs too, on every reactor count.
 #[test]
 fn live_and_simulated_tears_agree_with_the_checker() {
-    for threading in threadings() {
-        let mut live = LiveConfig::lockstep(24, 0, 5);
-        live.threading = threading;
+    for reactors in reactor_counts(24) {
+        let live = LiveConfig::lockstep(24, 0, 5).on_reactors(reactors);
         let case = DiffConfig {
             live,
             transport: TransportKind::Channel,
@@ -84,7 +83,7 @@ fn assert_checker_verified(transport: TransportKind, config: &LiveConfig) {
 
 /// The acceptance criterion, channel half: an `n = 32` lockstep run with
 /// staggered crashes is bit-identical across repeats of the same seed —
-/// and across threading disciplines, including different reactor counts.
+/// and across reactor counts, from one thread per process down to one.
 #[test]
 fn channel_lockstep_n32_with_crashes_is_bit_identical() {
     let config = n32_crash_config(2008);
@@ -102,12 +101,11 @@ fn channel_lockstep_n32_with_crashes_is_bit_identical() {
 
 /// The acceptance criterion, TCP half: a live loopback-TCP run at `n = 32`
 /// with crashes completes with every correct process holding the
-/// checker-verified rumor set — on node threads and on reactors.
+/// checker-verified rumor set — on one thread per process and on two reactors.
 #[test]
 fn tcp_n32_with_crashes_is_checker_verified() {
-    for threading in threadings() {
-        let mut config = n32_crash_config(2009);
-        config.threading = threading;
+    for reactors in reactor_counts(32) {
+        let config = n32_crash_config(2009).on_reactors(reactors);
         assert_checker_verified(TransportKind::Tcp, &config);
     }
 }
@@ -116,20 +114,19 @@ fn tcp_n32_with_crashes_is_checker_verified() {
 #[cfg(unix)]
 #[test]
 fn uds_n32_with_crashes_is_checker_verified() {
-    for threading in threadings() {
-        let mut config = n32_crash_config(2010);
-        config.threading = threading;
+    for reactors in reactor_counts(32) {
+        let config = n32_crash_config(2010).on_reactors(reactors);
         assert_checker_verified(TransportKind::Uds, &config);
     }
 }
 
 /// Free-running pacing (real scheduling nondeterminism) still yields
-/// checker-verified executions over TCP, on node threads and on reactors.
+/// checker-verified executions over TCP, on one thread per process and on
+/// two reactors.
 #[test]
 fn free_running_tcp_is_checker_verified() {
-    for threading in threadings() {
-        let mut config = LiveConfig::free_running(8, 2, 11);
-        config.threading = threading;
+    for reactors in reactor_counts(8) {
+        let config = LiveConfig::free_running(8, 2, 11).on_reactors(reactors);
         assert_checker_verified(TransportKind::Tcp, &config);
     }
 }
@@ -149,7 +146,7 @@ fn reactor_differential_n512_on_two_threads() {
     use agossip_core::Tears;
 
     let live = live_scale_config(512, 2, 2008);
-    assert_eq!(live.threading, Threading::Reactor { reactors: 2 });
+    assert_eq!(live.reactors, 2);
     let params = live_scale_params(512);
     let case = DiffConfig {
         live,
@@ -162,8 +159,8 @@ fn reactor_differential_n512_on_two_threads() {
 }
 
 /// Free-running reactor runs with staggered crashes stay checker-verified
-/// over channels — the crash path exercises slot deregistration rather
-/// than thread exit.
+/// over channels — a crash deregisters its slot while the reactor hosting
+/// it runs on.
 #[test]
 fn free_running_reactor_crashes_deregister_cleanly() {
     let config = LiveConfig::free_running(16, 4, 13)
@@ -173,6 +170,6 @@ fn free_running_reactor_crashes_deregister_cleanly() {
             (ProcessId(13), 5),
         ])
         .on_reactors(3);
-    assert_eq!(config.threading, Threading::Reactor { reactors: 3 });
+    assert_eq!(config.reactors, 3);
     assert_checker_verified(TransportKind::Channel, &config);
 }

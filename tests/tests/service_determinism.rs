@@ -4,10 +4,10 @@
 //! covering every observable of the report — each epoch's full lifecycle
 //! (admission, settle, finalize steps and its checker verdict), the
 //! per-process step counts, and the global wire counters. The digest must
-//! reproduce the pinned constant exactly, on thread-per-process *and* on
-//! every reactor count — multiplexing the processes (and their concurrently
-//! open epochs) onto 1, 2 or 8 reactor threads may not perturb a single bit
-//! of the outcome.
+//! reproduce the pinned constant exactly on every reactor count, from one
+//! thread per process (`reactors = n`) down to one — multiplexing the
+//! processes (and their concurrently open epochs) onto 1, 2 or 8 reactor
+//! threads may not perturb a single bit of the outcome.
 //!
 //! This is the acceptance pin for the service mode's determinism story: the
 //! admission frontier is a pure function republished between tick barriers,
@@ -21,14 +21,12 @@
 //! a determinism regression.
 
 use agossip_core::{GossipSpec, LoopMode, Tears};
-use agossip_runtime::{
-    run_service, ChannelTransport, LiveConfig, ServiceConfig, ServiceReport, Threading,
-};
+use agossip_runtime::{run_service, ChannelTransport, LiveConfig, ServiceConfig, ServiceReport};
 use agossip_sim::rng::splitmix64;
 use agossip_sim::ProcessId;
 
-/// The digest every threading discipline must reproduce for the pinned
-/// configuration below. Captured from the thread-per-process run.
+/// The digest every reactor count must reproduce for the pinned
+/// configuration below. Captured from a one-thread-per-process run.
 const GOLDEN_DIGEST: u64 = 0x4BBC_9B56_BFEE_079F;
 
 fn fold(h: u64, x: u64) -> u64 {
@@ -80,13 +78,19 @@ fn pinned_config() -> ServiceConfig {
         .with_spec(GossipSpec::Majority)
 }
 
-fn pinned_run(threading: Threading) -> ServiceReport {
+fn pinned_run(reactors: usize) -> ServiceReport {
     let mut config = pinned_config();
-    config.live.threading = threading;
+    config.live.reactors = reactors;
     let report = run_service(&config, &ChannelTransport, Tears::new).expect("pinned service run");
-    assert!(report.quiescent, "{threading:?} run did not finalize");
-    assert!(report.all_ok(), "{threading:?} run failed an epoch check");
-    assert_eq!(report.decode_errors, 0, "{threading:?}");
+    assert!(
+        report.quiescent,
+        "run on {reactors} reactors did not finalize"
+    );
+    assert!(
+        report.all_ok(),
+        "run on {reactors} reactors failed an epoch check"
+    );
+    assert_eq!(report.decode_errors, 0, "{reactors} reactors");
     assert_eq!(
         report.stale_drops, 0,
         "lockstep service must not race frames"
@@ -97,27 +101,23 @@ fn pinned_run(threading: Threading) -> ServiceReport {
 
 #[test]
 fn closed_loop_n48_with_crashes_digest_is_pinned_across_threadings() {
-    for threading in [
-        Threading::PerProcess,
-        Threading::Reactor { reactors: 1 },
-        Threading::Reactor { reactors: 2 },
-        Threading::Reactor { reactors: 8 },
-    ] {
-        let d = digest(&pinned_run(threading));
+    // `n` reactors is one thread per process.
+    for reactors in [48, 1, 2, 8] {
+        let d = digest(&pinned_run(reactors));
         assert_eq!(
             d, GOLDEN_DIGEST,
-            "service digest under {threading:?} diverged from the pin \
+            "service digest on {reactors} reactors diverged from the pin \
              (got {d:#018x}); if the service driver changed deliberately, re-pin"
         );
     }
 }
 
-/// Repeating the run on the same threading reproduces the digest too —
-/// determinism across repeats, not just across disciplines.
+/// Repeating the run on the same reactor count reproduces the digest too —
+/// determinism across repeats, not just across reactor counts.
 #[test]
 fn closed_loop_n48_digest_is_stable_across_repeats() {
-    let first = digest(&pinned_run(Threading::Reactor { reactors: 8 }));
-    let second = digest(&pinned_run(Threading::Reactor { reactors: 8 }));
+    let first = digest(&pinned_run(8));
+    let second = digest(&pinned_run(8));
     assert_eq!(first, second);
     assert_eq!(first, GOLDEN_DIGEST);
 }
