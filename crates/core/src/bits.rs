@@ -13,23 +13,135 @@
 //!
 //! [`AdaptiveSet`] is the roaring-bitmap-style wrapper that makes the same
 //! semantics affordable at `n = 65 536`: a set starts as a sorted sparse id
-//! list (16 bytes per element, independent of the universe size) and
-//! promotes — once, irreversibly — to the dense word-packed form when it
-//! grows past [`ADAPTIVE_SPARSE_LIMIT`] elements. Every observable
-//! behaviour (membership, union deltas, ascending iteration order,
-//! equality) is identical in both representations, so executions are
-//! bit-for-bit unchanged; only the memory touched by small sets shrinks
-//! from `Θ(n)` to `O(|set|)`.
+//! list (cost independent of the universe size) and promotes — once,
+//! irreversibly — to the dense word-packed form when [`prefers_dense`]
+//! says so. That one rule decides every sparse→dense switch in the crate
+//! (`AdaptiveSet`, `RumorSet` and the `InformedList` matrix) from the set's
+//! own contents:
+//!
+//! * **bytes** — dense once the sparse entries cost more bytes than the
+//!   dense words spanning the largest id (4 B per `AdaptiveSet` id, 16 B per
+//!   `RumorSet` entry, 4 B per `InformedList` pair against its whole
+//!   matrix);
+//! * **floor** — never dense at [`ADAPTIVE_DENSE_FLOOR`] entries or fewer,
+//!   so singletons and early-phase sets stay sparse at any `n`;
+//! * **cap** — a single set is always dense past [`ADAPTIVE_SPARSE_LIMIT`]
+//!   entries, which bounds the sparse form at ~4 KiB.
+//!
+//! Every observable behaviour (membership, union deltas, ascending
+//! iteration order, equality, wire bytes) is identical in both
+//! representations, so executions are bit-for-bit unchanged; only the
+//! memory touched and the cost of the hot checks move: small sets stay
+//! `O(|set|)` instead of `Θ(n)`, and sets dense in a small universe (every
+//! set at `n = 128`) get bit-parallel unions and superset checks.
 
 use std::borrow::Cow;
 
-/// The sparse→dense crossover: an `AdaptiveSet` (and the sparse entry
-/// list inside `RumorSet`) promotes to the word-packed form as soon as it
-/// holds more than this many elements. At 16 bytes per sparse element the
+/// The cap of the sparse form: a single set (an `AdaptiveSet`, or the
+/// sparse entry list inside `RumorSet`) holding more than this many
+/// elements is always dense. At 16 bytes per sparse `RumorSet` entry the
 /// sparse form caps at ~4 KiB — about the dense bitmap cost at
 /// `n = 32 768` — while staying small enough that sorted-merge unions of
 /// two sparse sets are cheap.
 pub const ADAPTIVE_SPARSE_LIMIT: usize = 256;
+
+/// The floor of the sparse form: a set (or an `InformedList`) of at most
+/// this many elements always stays sparse, whatever its ids — so a fresh
+/// process's singleton, and the handful of rumors an early-phase process
+/// has heard at `n = 65 536`, never touch a bitmap.
+pub const ADAPTIVE_DENSE_FLOOR: usize = 32;
+
+/// The sparse→dense rule: true once `len` sparse entries of `entry_bytes`
+/// each cost more than `dense_words` bitmap words, and `len` is past
+/// [`ADAPTIVE_DENSE_FLOOR`]. The decision reads only the contents, never
+/// the current representation.
+pub(crate) fn prefers_dense(len: usize, entry_bytes: usize, dense_words: usize) -> bool {
+    len > ADAPTIVE_DENSE_FLOOR && len.saturating_mul(entry_bytes) > dense_words.saturating_mul(8)
+}
+
+/// [`prefers_dense`] for one set whose largest id is `max_id`, capped at
+/// [`ADAPTIVE_SPARSE_LIMIT`] entries.
+pub(crate) fn set_prefers_dense(len: usize, entry_bytes: usize, max_id: usize) -> bool {
+    len > ADAPTIVE_SPARSE_LIMIT || prefers_dense(len, entry_bytes, max_id / 64 + 1)
+}
+
+/// True if sorted, duplicate-free `own` contains every element of sorted,
+/// duplicate-free `theirs` (compared by `key`): one merge walk, linear in
+/// `own.len() + theirs.len()`.
+pub(crate) fn sorted_superset<T, K: Ord>(own: &[T], theirs: &[T], key: impl Fn(&T) -> K) -> bool {
+    if theirs.len() > own.len() {
+        return false;
+    }
+    let mut own = own.iter().map(&key);
+    theirs.iter().map(&key).all(|want| {
+        own.by_ref()
+            .find(|have| *have >= want)
+            .is_some_and(|have| have == want)
+    })
+}
+
+/// True if every bit of `theirs` is set in `own` (both low word first;
+/// words past either end count as zero).
+pub(crate) fn words_superset(own: &[u64], theirs: &[u64]) -> bool {
+    let theirs = trimmed(theirs);
+    theirs.len() <= own.len() && own.iter().zip(theirs).all(|(&own, &word)| word & !own == 0)
+}
+
+/// Iterates the set bits of `words` (low word first) in ascending order.
+pub(crate) fn iter_bits(words: &[u64]) -> WordSetIter<'_> {
+    WordSetIter {
+        words,
+        w: 0,
+        current: words.first().copied().unwrap_or(0),
+    }
+}
+
+/// ORs `words` into `own` word by word (words past `own`'s end are
+/// dropped). Returns the number of bits newly set. A straight-line zip over
+/// two slices — no per-word bounds checks or growth branches — so it
+/// autovectorizes.
+pub(crate) fn or_words_into(own: &mut [u64], words: &[u64]) -> usize {
+    let mut added = 0usize;
+    for (own, &word) in own.iter_mut().zip(words) {
+        added += (word & !*own).count_ones() as usize;
+        *own |= word;
+    }
+    added
+}
+
+/// [`or_words_into`] for raw little-endian 8-byte words (a dense wire
+/// section); trailing bytes short of a full word are ignored.
+pub(crate) fn or_le_words_into(own: &mut [u64], bytes: &[u8]) -> usize {
+    let mut added = 0usize;
+    for (own, chunk) in own.iter_mut().zip(bytes.chunks_exact(8)) {
+        let word = le_word(chunk);
+        added += (word & !*own).count_ones() as usize;
+        *own |= word;
+    }
+    added
+}
+
+/// ANDs `words` into `mask` (words past `words`' end count as zero).
+pub(crate) fn and_words_into(words: &[u64], mask: &mut [u64]) {
+    for (w, m) in mask.iter_mut().enumerate() {
+        *m &= words.get(w).copied().unwrap_or(0);
+    }
+}
+
+/// True if bit `index` of `words` is set.
+pub(crate) fn has_bit(words: &[u64], index: usize) -> bool {
+    words
+        .get(index / 64)
+        .is_some_and(|w| w & (1 << (index % 64)) != 0)
+}
+
+/// The little-endian 8-byte word at the start of `chunk` (0 if short).
+pub(crate) fn le_word(chunk: &[u8]) -> u64 {
+    chunk
+        .first_chunk::<8>()
+        .map(|arr| u64::from_le_bytes(*arr))
+        .unwrap_or(0)
+}
 
 /// Presence words with trailing zero words trimmed (the capacity a set has
 /// grown to is not part of its value).
@@ -64,9 +176,7 @@ impl WordSet {
 
     /// True if `index` is in the set.
     pub(crate) fn contains(&self, index: usize) -> bool {
-        self.words
-            .get(index / 64)
-            .is_some_and(|w| w & (1 << (index % 64)) != 0)
+        has_bit(&self.words, index)
     }
 
     /// Inserts `index`. Returns `true` if it was not present before.
@@ -103,12 +213,7 @@ impl WordSet {
     pub(crate) fn or_words(&mut self, words: &[u64]) -> usize {
         let words = trimmed(words);
         self.ensure_words(words.len());
-        let mut added = 0usize;
-        for (own, &word) in self.words.iter_mut().zip(words) {
-            added += (word & !*own).count_ones() as usize;
-            *own |= word;
-        }
-        added
+        or_words_into(&mut self.words, words)
     }
 
     /// ORs `bytes.len() / 8` little-endian 8-byte words (starting at word
@@ -117,41 +222,22 @@ impl WordSet {
     /// ignored. Returns the number of indices added.
     pub(crate) fn or_le_words(&mut self, bytes: &[u8]) -> usize {
         self.ensure_words(bytes.len() / 8);
-        let mut added = 0usize;
-        for (own, chunk) in self.words.iter_mut().zip(bytes.chunks_exact(8)) {
-            if let Some(arr) = chunk.first_chunk::<8>() {
-                let word = u64::from_le_bytes(*arr);
-                added += (word & !*own).count_ones() as usize;
-                *own |= word;
-            }
-        }
-        added
+        or_le_words_into(&mut self.words, bytes)
     }
 
     /// True if every index of `other` is in `self`.
     pub(crate) fn is_superset_of(&self, other: &WordSet) -> bool {
-        let theirs = trimmed(&other.words);
-        // `trimmed` ends at the last non-zero word, so anything longer than
-        // our storage necessarily holds a bit we do not.
-        theirs.len() <= self.words.len()
-            && self
-                .words
-                .iter()
-                .zip(theirs)
-                .all(|(&own, &word)| word & !own == 0)
+        words_superset(&self.words, &other.words)
     }
 
     /// Iterates over the set indices in ascending order.
     pub(crate) fn iter(&self) -> WordSetIter<'_> {
-        WordSetIter {
-            words: &self.words,
-            w: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        iter_bits(&self.words)
     }
 }
 
-/// Ascending iterator over a [`WordSet`]'s indices.
+/// Ascending iterator over a [`WordSet`]'s indices (or any word slice's
+/// set bits, see [`iter_bits`]).
 pub(crate) struct WordSetIter<'a> {
     words: &'a [u64],
     w: usize,
@@ -175,11 +261,12 @@ impl Iterator for WordSetIter<'_> {
     }
 }
 
-/// An index set that adapts its representation to its cardinality: sorted
-/// sparse ids below [`ADAPTIVE_SPARSE_LIMIT`], the dense word-packed
-/// [`WordSet`] above it. Promotion is one-way — a set that has gone dense
-/// stays dense — so a long-lived set settles into the representation its
-/// steady state wants.
+/// An index set that adapts its representation to its contents: sorted
+/// sparse ids until [`set_prefers_dense`] fires (4 bytes per id against the
+/// bitmap spanning the largest id, past the floor, capped at
+/// [`ADAPTIVE_SPARSE_LIMIT`]), the dense word-packed [`WordSet`] after.
+/// Promotion is one-way — a set that has gone dense stays dense — so a
+/// long-lived set settles into the representation its steady state wants.
 #[derive(Clone)]
 pub(crate) enum AdaptiveSet {
     /// Sorted ascending, no duplicates.
@@ -238,9 +325,31 @@ impl AdaptiveSet {
         }
     }
 
+    /// Promotes a sparse set once [`set_prefers_dense`] fires for its ids.
+    fn settle(&mut self) {
+        if let AdaptiveSet::Sparse(ids) = self {
+            if let Some(&max) = ids.last() {
+                if set_prefers_dense(ids.len(), ID_BYTES, max as usize) {
+                    self.promote();
+                }
+            }
+        }
+    }
+
+    /// Switches back to the sparse id list (no-op if already sparse, or if
+    /// an index does not fit a `u32`). A hook for the
+    /// representation-differential tests; protocol code never demotes.
+    pub(crate) fn demote(&mut self) {
+        if let AdaptiveSet::Dense(words) = self {
+            if let Ok(ids) = words.iter().map(u32::try_from).collect() {
+                *self = AdaptiveSet::Sparse(ids);
+            }
+        }
+    }
+
     /// Inserts `index`. Returns `true` if it was not present before.
-    /// Promotes past the crossover (or for indices beyond `u32`, which the
-    /// sparse id list cannot represent).
+    /// Promotes when the sparse→dense rule fires (or for indices beyond
+    /// `u32`, which the sparse id list cannot represent).
     pub(crate) fn insert(&mut self, index: usize) -> bool {
         match self {
             AdaptiveSet::Sparse(ids) => {
@@ -252,9 +361,7 @@ impl AdaptiveSet {
                     Ok(_) => false,
                     Err(pos) => {
                         ids.insert(pos, id);
-                        if ids.len() > ADAPTIVE_SPARSE_LIMIT {
-                            self.promote();
-                        }
+                        self.settle();
                         true
                     }
                 }
@@ -268,9 +375,7 @@ impl AdaptiveSet {
         match (&mut *self, other) {
             (AdaptiveSet::Sparse(own), AdaptiveSet::Sparse(theirs)) => {
                 let added = merge_sorted(own, theirs);
-                if own.len() > ADAPTIVE_SPARSE_LIMIT {
-                    self.promote();
-                }
+                self.settle();
                 added
             }
             (AdaptiveSet::Sparse(_), AdaptiveSet::Dense(_)) => {
@@ -300,21 +405,9 @@ impl AdaptiveSet {
     /// `self`.
     pub(crate) fn is_superset_of_le_words(&self, bytes: &[u8]) -> bool {
         match self {
-            AdaptiveSet::Dense(words) => {
-                let own = words.words();
-                bytes.chunks_exact(8).enumerate().all(|(w, chunk)| {
-                    let word = chunk
-                        .first_chunk::<8>()
-                        .map(|arr| u64::from_le_bytes(*arr))
-                        .unwrap_or(0);
-                    word & !own.get(w).copied().unwrap_or(0) == 0
-                })
-            }
+            AdaptiveSet::Dense(words) => le_words_superset(words.words(), bytes),
             AdaptiveSet::Sparse(_) => bytes.chunks_exact(8).enumerate().all(|(w, chunk)| {
-                let mut word = chunk
-                    .first_chunk::<8>()
-                    .map(|arr| u64::from_le_bytes(*arr))
-                    .unwrap_or(0);
+                let mut word = le_word(chunk);
                 while word != 0 {
                     let index = w * 64 + word.trailing_zeros() as usize;
                     if !self.contains(index) {
@@ -331,12 +424,23 @@ impl AdaptiveSet {
     pub(crate) fn is_superset_of(&self, other: &AdaptiveSet) -> bool {
         match (self, other) {
             (AdaptiveSet::Dense(own), AdaptiveSet::Dense(theirs)) => own.is_superset_of(theirs),
-            (_, AdaptiveSet::Sparse(theirs)) => theirs.iter().all(|&id| self.contains(id as usize)),
-            // Self is sparse (≤ the crossover), other dense: every index of
-            // `other` must be one of self's few ids.
-            (AdaptiveSet::Sparse(_), AdaptiveSet::Dense(theirs)) => {
-                theirs.iter().all(|id| self.contains(id))
+            (AdaptiveSet::Sparse(own), AdaptiveSet::Sparse(theirs)) => {
+                sorted_superset(own, theirs, |&id| id)
             }
+            (AdaptiveSet::Dense(own), AdaptiveSet::Sparse(theirs)) => {
+                theirs.iter().all(|&id| own.contains(id as usize))
+            }
+            (AdaptiveSet::Sparse(_), AdaptiveSet::Dense(theirs)) => {
+                self.is_superset_of_words(theirs.words())
+            }
+        }
+    }
+
+    /// True if every index named by `words` (low word first) is in `self`.
+    pub(crate) fn is_superset_of_words(&self, words: &[u64]) -> bool {
+        match self {
+            AdaptiveSet::Dense(own) => words_superset(own.words(), words),
+            AdaptiveSet::Sparse(_) => iter_bits(words).all(|id| self.contains(id)),
         }
     }
 
@@ -364,12 +468,35 @@ impl AdaptiveSet {
                     *m &= own;
                 }
             }
-            AdaptiveSet::Dense(words) => {
-                let words = words.words();
-                for (w, m) in mask.iter_mut().enumerate() {
-                    *m &= words.get(w).copied().unwrap_or(0);
-                }
-            }
+            AdaptiveSet::Dense(words) => and_words_into(words.words(), mask),
+        }
+    }
+
+    /// ORs this set into `words` (one bit per index, low word first);
+    /// indices beyond the slice are dropped. Returns the number of bits
+    /// newly set.
+    pub(crate) fn or_into(&self, words: &mut [u64]) -> usize {
+        match self {
+            AdaptiveSet::Sparse(ids) => ids
+                .iter()
+                .map(|&id| {
+                    let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+                    words.get_mut(w).map_or(0, |word| {
+                        let fresh = *word & bit == 0;
+                        *word |= bit;
+                        fresh as usize
+                    })
+                })
+                .sum(),
+            AdaptiveSet::Dense(own) => or_words_into(words, own.words()),
+        }
+    }
+
+    /// True if every index of `self` is set in `words`.
+    pub(crate) fn is_within_words(&self, words: &[u64]) -> bool {
+        match self {
+            AdaptiveSet::Sparse(ids) => ids.iter().all(|&id| has_bit(words, id as usize)),
+            AdaptiveSet::Dense(own) => words_superset(words, own.words()),
         }
     }
 
@@ -392,6 +519,17 @@ impl AdaptiveSet {
             AdaptiveSet::Dense(words) => Cow::Borrowed(trimmed(words.words())),
         }
     }
+}
+
+/// Bytes per id in the sparse form of an [`AdaptiveSet`].
+const ID_BYTES: usize = std::mem::size_of::<u32>();
+
+/// True if every bit named by raw little-endian word bytes is set in `own`.
+pub(crate) fn le_words_superset(own: &[u64], bytes: &[u8]) -> bool {
+    bytes
+        .chunks_exact(8)
+        .enumerate()
+        .all(|(w, chunk)| le_word(chunk) & !own.get(w).copied().unwrap_or(0) == 0)
 }
 
 /// Merges sorted `theirs` into sorted `own` (both ascending, duplicate
@@ -526,22 +664,55 @@ mod tests {
 
     #[test]
     fn adaptive_starts_sparse_and_promotes_past_the_crossover() {
-        let mut s = AdaptiveSet::new();
-        assert!(!s.is_dense());
-        for i in 0..ADAPTIVE_SPARSE_LIMIT {
-            assert!(s.insert(i * 3));
+        // Floor: ids packed into one word stay sparse up to the floor, and
+        // the first id past it promotes (4 B per id against one 8-byte word).
+        let mut packed = AdaptiveSet::new();
+        for i in 0..ADAPTIVE_DENSE_FLOOR {
+            assert!(packed.insert(i));
         }
-        assert!(!s.is_dense(), "at the limit the set is still sparse");
-        assert!(s.insert(ADAPTIVE_SPARSE_LIMIT * 3));
-        assert!(s.is_dense(), "one past the limit promotes");
+        assert!(!packed.is_dense(), "at the floor the set is still sparse");
+        assert!(packed.insert(ADAPTIVE_DENSE_FLOOR));
+        assert!(
+            packed.is_dense(),
+            "one past the floor promotes a packed set"
+        );
+
+        // Bytes: 40 ids whose largest is 1279 cost 160 B sparse, exactly the
+        // 20-word bitmap spanning them — still sparse; the 41st id tips it.
+        let mut spanned = AdaptiveSet::new();
+        spanned.insert(20 * 64 - 1);
+        for i in 0..39 {
+            spanned.insert(i);
+        }
+        assert!(
+            !spanned.is_dense(),
+            "sparse bytes equal to dense bytes stay sparse"
+        );
+        spanned.insert(39);
+        assert!(
+            spanned.is_dense(),
+            "one more id makes the sparse form costlier"
+        );
+
+        // Cap: ids 128 apart never make the bitmap cheaper, so only the cap
+        // promotes them — one past ADAPTIVE_SPARSE_LIMIT.
+        let mut s = AdaptiveSet::new();
+        for i in 0..ADAPTIVE_SPARSE_LIMIT {
+            assert!(s.insert(i * 128));
+        }
+        assert!(!s.is_dense(), "at the cap a spread set is still sparse");
+        assert!(s.insert(ADAPTIVE_SPARSE_LIMIT * 128));
+        assert!(s.is_dense(), "one past the cap promotes");
         // Semantics survive the promotion.
         for i in 0..=ADAPTIVE_SPARSE_LIMIT {
-            assert!(s.contains(i * 3));
-            assert!(!s.contains(i * 3 + 1));
+            assert!(s.contains(i * 128));
+            assert!(!s.contains(i * 128 + 1));
         }
         let got: Vec<usize> = s.iter().collect();
-        let want: Vec<usize> = (0..=ADAPTIVE_SPARSE_LIMIT).map(|i| i * 3).collect();
+        let want: Vec<usize> = (0..=ADAPTIVE_SPARSE_LIMIT).map(|i| i * 128).collect();
         assert_eq!(got, want);
+        let packed_ids: Vec<usize> = packed.iter().collect();
+        assert_eq!(packed_ids, (0..=ADAPTIVE_DENSE_FLOOR).collect::<Vec<_>>());
     }
 
     #[test]
@@ -574,16 +745,61 @@ mod tests {
 
     #[test]
     fn adaptive_union_promotes_when_the_merge_crosses_the_limit() {
+        // Floor and bytes: two half-floor sets merge to exactly the floor
+        // (sparse); one more packed id promotes.
+        let half = ADAPTIVE_DENSE_FLOOR / 2;
         let mut a = AdaptiveSet::new();
         let mut b = AdaptiveSet::new();
-        for i in 0..ADAPTIVE_SPARSE_LIMIT {
+        for i in 0..half {
             a.insert(2 * i);
             b.insert(2 * i + 1);
         }
+        assert_eq!(a.union(&b), half);
+        assert!(!a.is_dense(), "a merge reaching the floor stays sparse");
+        let mut one = AdaptiveSet::new();
+        one.insert(ADAPTIVE_DENSE_FLOOR);
+        assert_eq!(a.union(&one), 1);
+        assert!(a.is_dense(), "a merge past the floor promotes a packed set");
+
+        // Cap: spread ids (128 apart) stay sparse on both sides; the merge
+        // of 129 + 128 crosses ADAPTIVE_SPARSE_LIMIT and promotes.
+        let mut a = AdaptiveSet::new();
+        let mut b = AdaptiveSet::new();
+        for i in 0..=ADAPTIVE_SPARSE_LIMIT / 2 {
+            a.insert(i * 256);
+        }
+        for i in 0..ADAPTIVE_SPARSE_LIMIT / 2 {
+            b.insert(i * 256 + 128);
+        }
         assert!(!a.is_dense() && !b.is_dense());
-        assert_eq!(a.union(&b), ADAPTIVE_SPARSE_LIMIT);
+        assert_eq!(a.union(&b), ADAPTIVE_SPARSE_LIMIT / 2);
         assert!(a.is_dense());
-        assert_eq!(a.iter().count(), 2 * ADAPTIVE_SPARSE_LIMIT);
+        assert_eq!(a.iter().count(), ADAPTIVE_SPARSE_LIMIT + 1);
+    }
+
+    #[test]
+    fn the_rule_compares_bytes_past_the_floor_and_caps_single_sets() {
+        // Never dense at or below the floor, whatever the bytes say.
+        assert!(!prefers_dense(ADAPTIVE_DENSE_FLOOR, 16, 0));
+        assert!(prefers_dense(ADAPTIVE_DENSE_FLOOR + 1, 16, 1));
+        // Strictly more sparse bytes than dense bytes.
+        assert!(!prefers_dense(64, 4, 32));
+        assert!(prefers_dense(65, 4, 32));
+        // A RumorSet at n = 128 (two words) promotes at 33 entries; at
+        // n = 65 536 (1 024 words) only the cap promotes it.
+        assert!(set_prefers_dense(ADAPTIVE_DENSE_FLOOR + 1, 16, 127));
+        assert!(!set_prefers_dense(ADAPTIVE_SPARSE_LIMIT, 16, 65_535));
+        assert!(set_prefers_dense(ADAPTIVE_SPARSE_LIMIT + 1, 16, 65_535));
+    }
+
+    #[test]
+    fn sorted_superset_is_one_merge_walk() {
+        let own = [1u32, 4, 9, 12];
+        assert!(sorted_superset(&own, &[4, 12], |&x| x));
+        assert!(sorted_superset(&own, &[], |&x| x));
+        assert!(!sorted_superset(&own, &[4, 5], |&x| x));
+        assert!(!sorted_superset(&own, &[13], |&x| x));
+        assert!(!sorted_superset(&[1u32], &[0, 1], |&x| x), "longer other");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 use agossip_sim::ProcessId;
 
+use crate::bits::le_word;
 use crate::codec::{
     kind, read_header, read_varint, CodecError, Reader, WireCodec, MAX_WIRE_ID, TAG_DENSE,
     TAG_SPARSE,
@@ -105,7 +106,7 @@ impl<'a> RumorSetView<'a> {
                 words,
                 payloads,
                 w: 0,
-                bits: first_word(words),
+                bits: le_word(words),
             },
         }
     }
@@ -118,13 +119,6 @@ impl<'a> RumorSetView<'a> {
         }
         set
     }
-}
-
-fn first_word(words: &[u8]) -> u64 {
-    words
-        .first_chunk::<8>()
-        .map(|arr| u64::from_le_bytes(*arr))
-        .unwrap_or(0)
 }
 
 /// Iterator over the rumors of a [`RumorSetView`].
@@ -172,7 +166,7 @@ impl Iterator for RumorViewIter<'_> {
                 while *bits == 0 {
                     *w += 1;
                     let chunk = words.get(*w * 8..*w * 8 + 8)?;
-                    *bits = first_word(chunk);
+                    *bits = le_word(chunk);
                 }
                 // lint:allow(no-unchecked-narrowing): trailing_zeros of a u64 is at most 63
                 let origin = *w * 64 + bits.trailing_zeros() as usize;
@@ -390,13 +384,13 @@ impl Iterator for InformedViewIter<'_> {
                     }
                     *w += 1;
                     match words.get(*w * 8..*w * 8 + 8) {
-                        Some(chunk) => *bits = first_word(chunk),
+                        Some(chunk) => *bits = le_word(chunk),
                         None => *row = None,
                     }
                     continue;
                 }
                 let next = rows.next()?;
-                *row = Some((next.origin, next.words, 0, first_word(next.words)));
+                *row = Some((next.origin, next.words, 0, le_word(next.words)));
             },
         }
     }
@@ -439,7 +433,7 @@ pub(crate) fn read_informed_view<'a>(
                 len += words
                     .chunks_exact(8)
                     // lint:allow(no-unchecked-narrowing): count_ones of a u64 is at most 64
-                    .map(|chunk| first_word(chunk).count_ones() as usize)
+                    .map(|chunk| le_word(chunk).count_ones() as usize)
                     .sum::<usize>();
             }
             Ok(InformedListView {

@@ -59,7 +59,7 @@ pub mod trivial;
 pub mod wire;
 
 pub use adapter::SimGossip;
-pub use bits::ADAPTIVE_SPARSE_LIMIT;
+pub use bits::{ADAPTIVE_DENSE_FLOOR, ADAPTIVE_SPARSE_LIMIT};
 pub use checker::{check_engines, check_gossip, CheckReport, GossipSpec};
 pub use codec::{CodecError, WireCodec, CODEC_VERSION};
 pub use codec_view::{

@@ -1,11 +1,20 @@
 //! Rumors and rumor collections.
+//!
+//! A [`RumorSet`] is a sorted sparse `(origin, payload)` list until the
+//! crate's one sparse→dense rule (`bits::prefers_dense`) fires — its 16-byte
+//! entries cost more than the presence bitmap spanning the largest origin,
+//! past a floor of [`crate::ADAPTIVE_DENSE_FLOOR`] entries, and always past
+//! the cap [`crate::ADAPTIVE_SPARSE_LIMIT`] — and a word-packed presence
+//! bitmap plus payloads after.
 
 use std::borrow::Cow;
 use std::fmt;
 
 use agossip_sim::ProcessId;
 
-use crate::bits::{trimmed, WordSet, WordSetIter, ADAPTIVE_SPARSE_LIMIT};
+use crate::bits::{
+    le_words_superset, set_prefers_dense, sorted_superset, trimmed, WordSet, WordSetIter,
+};
 
 /// A rumor: the unit of information spread by gossip.
 ///
@@ -44,13 +53,18 @@ impl fmt::Display for Rumor {
 /// *adaptive* (see the `bits` module): a set starts as a sorted sparse
 /// `(origin, payload)` entry list — 16 bytes per rumor, independent of `n`,
 /// so a fresh process at `n = 65 536` holds its singleton in one small
-/// allocation instead of a `Θ(n)` payload array — and promotes past
-/// [`ADAPTIVE_SPARSE_LIMIT`] entries to the dense form: a word-packed
-/// presence bitset plus payloads. Dense payloads are *identity-compressed*:
-/// the gossip experiments tag every rumor with its origin index
-/// (`payload == origin`), and as long as that holds no payload array is
-/// materialized at all — only consensus, whose payloads are votes, pays for
-/// an explicit array.
+/// allocation instead of a `Θ(n)` payload array — and promotes to the dense
+/// form, a word-packed presence bitset plus payloads, once the crate's one
+/// sparse→dense rule fires: past a floor of
+/// [`crate::ADAPTIVE_DENSE_FLOOR`] entries, when the 16-byte entries cost
+/// more than the presence bitmap spanning the largest origin, and always
+/// past [`crate::ADAPTIVE_SPARSE_LIMIT`] entries. At `n = 128` a set
+/// therefore turns dense at 33 rumors; at `n = 65 536` a set spread over
+/// the whole universe stays sparse up to the cap. Dense payloads are
+/// *identity-compressed*: the gossip experiments tag every rumor with its
+/// origin index (`payload == origin`), and as long as that holds no payload
+/// array is materialized at all — only consensus, whose payloads are votes,
+/// pays for an explicit array.
 ///
 /// Both representations expose identical semantics: [`RumorSet::union`]
 /// deltas, membership, and iteration in ascending origin order — the same
@@ -166,6 +180,18 @@ impl RumorSet {
         }
     }
 
+    /// Promotes a sparse set once [`set_prefers_dense`] fires for its
+    /// entries.
+    fn settle(&mut self) {
+        if let Repr::Sparse(entries) = &self.repr {
+            if let Some(&(max, _)) = entries.last() {
+                if set_prefers_dense(entries.len(), ENTRY_BYTES, max as usize) {
+                    self.promote();
+                }
+            }
+        }
+    }
+
     /// Forces the dense representation regardless of cardinality. A hook
     /// for the representation-differential tests and benches; never needed
     /// in protocol code.
@@ -198,9 +224,7 @@ impl RumorSet {
                     Err(pos) => {
                         entries.insert(pos, (id, rumor.payload));
                         self.len += 1;
-                        if entries.len() > ADAPTIVE_SPARSE_LIMIT {
-                            self.promote();
-                        }
+                        self.settle();
                         true
                     }
                 }
@@ -268,11 +292,7 @@ impl RumorSet {
             (Repr::Sparse(_), Repr::Dense { .. }) => unreachable!("promoted above"),
         };
         self.len += added;
-        if let Repr::Sparse(entries) = &self.repr {
-            if entries.len() > ADAPTIVE_SPARSE_LIMIT {
-                self.promote();
-            }
-        }
+        self.settle();
         added
     }
 
@@ -350,16 +370,7 @@ impl RumorSet {
                 view.len() <= self.len && view.iter().all(|r| self.contains_origin(r.origin))
             }
             RumorViewRepr::Dense { words, .. } => match &self.repr {
-                Repr::Dense { present, .. } => {
-                    let own = present.words();
-                    words.chunks_exact(8).enumerate().all(|(w, chunk)| {
-                        let word = chunk
-                            .first_chunk::<8>()
-                            .map(|arr| u64::from_le_bytes(*arr))
-                            .unwrap_or(0);
-                        word & !own.get(w).copied().unwrap_or(0) == 0
-                    })
-                }
+                Repr::Dense { present, .. } => le_words_superset(present.words(), words),
                 Repr::Sparse(_) => {
                     view.len() <= self.len && view.iter().all(|r| self.contains_origin(r.origin))
                 }
@@ -425,9 +436,10 @@ impl RumorSet {
     /// True if `self` contains every rumor of `other`.
     pub fn is_superset_of(&self, other: &RumorSet) -> bool {
         match (&self.repr, &other.repr) {
-            (_, Repr::Sparse(theirs)) => theirs
-                .iter()
-                .all(|&(o, _)| self.contains_origin(ProcessId(o as usize))),
+            (Repr::Sparse(own), Repr::Sparse(theirs)) => sorted_superset(own, theirs, |&(o, _)| o),
+            (Repr::Dense { present, .. }, Repr::Sparse(theirs)) => {
+                theirs.iter().all(|&(o, _)| present.contains(o as usize))
+            }
             (
                 Repr::Dense { present, .. },
                 Repr::Dense {
@@ -470,6 +482,9 @@ impl RumorSet {
         }
     }
 }
+
+/// Bytes per entry in the sparse form of a [`RumorSet`].
+const ENTRY_BYTES: usize = std::mem::size_of::<(u32, u64)>();
 
 /// Merges sorted `theirs` into sorted `own` (both keyed by origin,
 /// duplicate free); an origin already present keeps its payload. Returns
@@ -566,6 +581,7 @@ impl FromIterator<Rumor> for RumorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::ADAPTIVE_SPARSE_LIMIT;
 
     fn r(origin: usize, payload: u64) -> Rumor {
         Rumor::new(ProcessId(origin), payload)

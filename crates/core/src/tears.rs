@@ -89,9 +89,13 @@ impl Tears {
         let mut rng = StdRng::seed_from_u64(ctx.seed);
         let prob = params.membership_probability(ctx.n);
         // Figure 3, lines 6–7: every other process joins Π1 (resp. Π2)
-        // independently with probability a/n.
-        let mut pi1 = Vec::new();
-        let mut pi2 = Vec::new();
+        // independently with probability a/n. Both are reserved at the mean
+        // size plus four standard deviations, so they almost never regrow.
+        let peers = ctx.n.saturating_sub(1);
+        let mean = prob * peers as f64;
+        let expected = ((mean + 4.0 * mean.sqrt()).ceil() as usize).min(peers);
+        let mut pi1 = Vec::with_capacity(expected);
+        let mut pi2 = Vec::with_capacity(expected);
         for q in ProcessId::all(ctx.n) {
             if q == ctx.pid {
                 continue;

@@ -12,13 +12,25 @@
 //! with the oracle tests in `rumor_differential.rs` and the golden pins in
 //! `seed_equivalence.rs` this proves the adaptive rework is bit-for-bit
 //! equivalent to the dense-only behaviour.
+//!
+//! A second group runs the other way round, in the dense universe `0..128`
+//! where the sparse→dense rule fires on its own: an `InformedList` that
+//! adopts its row-major matrix naturally is checked, operation by
+//! operation, against a sparse twin forced back to sparse id rows after
+//! every step and against a `BTreeSet` of pairs — including matrix growth
+//! (a target past the current stride, an origin past the current rows),
+//! the borrowed-view union and identical encoded bytes.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use agossip_core::informed_list::InformedList;
-use agossip_core::{EarsMessage, Rumor, RumorSet, WireCodec, ADAPTIVE_SPARSE_LIMIT};
+use agossip_core::{
+    EarsMessage, Rumor, RumorSet, WireCodec, WireDecodeView, ADAPTIVE_DENSE_FLOOR,
+    ADAPTIVE_SPARSE_LIMIT,
+};
 use agossip_sim::ProcessId;
 
 /// Universe of origins: wide enough that a union can jump a set from far
@@ -196,4 +208,226 @@ proptest! {
         let d: Vec<_> = dense.iter().collect();
         prop_assert_eq!(a, d, "post-union pair iteration order must match");
     }
+}
+
+/// The dense universe: `n = 128`, where a list past 512 pairs is cheaper as
+/// a matrix of at most 128 × 2 words.
+const DENSE_N: usize = 128;
+
+/// One operation of the dense-universe driver, applied to the natural
+/// list, its sparse twin and the oracle.
+#[derive(Debug, Clone)]
+enum ListOp {
+    Insert(usize, usize),
+    /// `insert_all` of a rumor set built from these origins.
+    InsertAll(Vec<usize>, usize),
+    /// Union with a list built from these pairs.
+    Union(Vec<(usize, usize)>),
+    /// Union with the borrowed view of the encoded frame of a list built
+    /// from these pairs.
+    UnionView(Vec<(usize, usize)>),
+}
+
+fn list_op_strategy(origins: usize, targets: usize) -> impl Strategy<Value = ListOp> {
+    (
+        0..4usize,
+        (0..origins, 0..targets),
+        prop::collection::vec(0..origins, 0..48),
+        prop::collection::vec((0..origins, 0..targets), 0..600),
+    )
+        .prop_map(|(tag, (o, t), rumors, pairs)| match tag {
+            0 => ListOp::Insert(o, t),
+            1 => ListOp::InsertAll(rumors, t),
+            2 => ListOp::Union(pairs),
+            _ => ListOp::UnionView(pairs),
+        })
+}
+
+fn list_from(pairs: &[(usize, usize)]) -> InformedList {
+    let mut list = InformedList::new();
+    for &(o, t) in pairs {
+        list.insert(ProcessId(o), ProcessId(t));
+    }
+    list
+}
+
+fn sparse_twin(list: &InformedList) -> InformedList {
+    let mut twin = list.clone();
+    twin.force_sparse();
+    twin
+}
+
+/// The `ears` frame carrying `list` (and no rumor).
+fn frame_of(list: &InformedList) -> Vec<u8> {
+    EarsMessage {
+        rumors: Arc::new(RumorSet::new()),
+        informed: Arc::new(list.clone()),
+    }
+    .encode()
+}
+
+/// Applies `op` to the natural list, the sparse twin and the oracle,
+/// asserting the union deltas agree, then forces the twin back to sparse.
+fn apply(
+    op: &ListOp,
+    list: &mut InformedList,
+    twin: &mut InformedList,
+    oracle: &mut BTreeSet<(usize, usize)>,
+) {
+    match op {
+        ListOp::Insert(o, t) => {
+            let fresh = oracle.insert((*o, *t));
+            prop_assert_eq!(list.insert(ProcessId(*o), ProcessId(*t)), fresh);
+            prop_assert_eq!(twin.insert(ProcessId(*o), ProcessId(*t)), fresh);
+        }
+        ListOp::InsertAll(origins, t) => {
+            let rumors: RumorSet = origins
+                .iter()
+                .map(|&o| Rumor::new(ProcessId(o), o as u64))
+                .collect();
+            list.insert_all(&rumors, ProcessId(*t));
+            twin.insert_all(&rumors, ProcessId(*t));
+            oracle.extend(origins.iter().map(|&o| (o, *t)));
+        }
+        ListOp::Union(pairs) | ListOp::UnionView(pairs) => {
+            let before = oracle.len();
+            oracle.extend(pairs.iter().copied());
+            let fresh = oracle.len() - before;
+            let arg = list_from(pairs);
+            if let ListOp::Union(_) = op {
+                // Cross the representations on the argument side too.
+                prop_assert_eq!(list.union(&sparse_twin(&arg)), fresh);
+                prop_assert_eq!(twin.union(&arg), fresh);
+            } else {
+                let bytes = frame_of(&arg);
+                let view = EarsMessage::decode_view(&bytes).unwrap();
+                prop_assert_eq!(list.is_superset_of_view(&view.informed), fresh == 0);
+                prop_assert_eq!(twin.is_superset_of_view(&view.informed), fresh == 0);
+                prop_assert_eq!(list.union_view(&view.informed), fresh);
+                prop_assert_eq!(twin.union_view(&view.informed), fresh);
+            }
+        }
+    }
+    twin.force_sparse();
+}
+
+/// Asserts every observable of `list` and its sparse `twin` matches the
+/// oracle, and that both encode to the same bytes.
+fn check_against(
+    list: &InformedList,
+    twin: &InformedList,
+    oracle: &BTreeSet<(usize, usize)>,
+    probe: &RumorSet,
+) {
+    let want: Vec<(ProcessId, ProcessId)> = oracle
+        .iter()
+        .map(|&(o, t)| (ProcessId(o), ProcessId(t)))
+        .collect();
+    prop_assert_eq!(list.len(), oracle.len());
+    prop_assert_eq!(twin.len(), oracle.len());
+    prop_assert_eq!(list.iter().collect::<Vec<_>>(), want.clone());
+    prop_assert_eq!(twin.iter().collect::<Vec<_>>(), want);
+    // PartialEq must ignore representation, in both directions.
+    prop_assert_eq!(list, twin);
+    prop_assert_eq!(twin, list);
+    prop_assert!(list.is_superset_of(twin) && twin.is_superset_of(list));
+    prop_assert_eq!(
+        list.uncovered_targets(probe, DENSE_N),
+        twin.uncovered_targets(probe, DENSE_N)
+    );
+    prop_assert_eq!(
+        list.covers_all(probe, DENSE_N),
+        twin.covers_all(probe, DENSE_N)
+    );
+    prop_assert_eq!(frame_of(list), frame_of(twin), "wire bytes diverged");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// In the dense universe the natural list adopts its matrix and must
+    /// stay observably identical to a twin kept in sparse rows.
+    #[test]
+    fn informed_list_in_a_dense_universe_matches_its_sparse_twin(
+        prefill in prop::collection::vec((0..DENSE_N, 0..DENSE_N), 0..1500),
+        ops in prop::collection::vec(list_op_strategy(DENSE_N, DENSE_N), 0..10),
+        probe_origins in prop::collection::vec(0..DENSE_N, 0..6),
+    ) {
+        let probe: RumorSet = probe_origins
+            .iter()
+            .map(|&o| Rumor::new(ProcessId(o), o as u64))
+            .collect();
+        let mut list = list_from(&prefill);
+        let mut twin = sparse_twin(&list);
+        let mut oracle: BTreeSet<(usize, usize)> = prefill.iter().copied().collect();
+        check_against(&list, &twin, &oracle, &probe);
+        for op in &ops {
+            apply(op, &mut list, &mut twin, &mut oracle);
+            check_against(&list, &twin, &oracle, &probe);
+        }
+    }
+
+    /// A matrix adopted over a small corner of the universe grows in place
+    /// (or splits back into rows) when later pairs name a target past its
+    /// stride or an origin past its rows.
+    #[test]
+    fn informed_list_matrix_growth_matches_its_sparse_twin(
+        corner in prop::collection::vec((0..48usize, 0..64usize), 400..1200),
+        ops in prop::collection::vec(list_op_strategy(DENSE_N, 3 * DENSE_N / 2), 1..8),
+        probe_origins in prop::collection::vec(0..DENSE_N, 0..6),
+    ) {
+        let probe: RumorSet = probe_origins
+            .iter()
+            .map(|&o| Rumor::new(ProcessId(o), o as u64))
+            .collect();
+        let mut list = list_from(&corner);
+        prop_assert!(list.is_dense(), "a dense corner adopts the matrix");
+        let mut twin = sparse_twin(&list);
+        let mut oracle: BTreeSet<(usize, usize)> = corner.iter().copied().collect();
+        for op in &ops {
+            apply(op, &mut list, &mut twin, &mut oracle);
+            check_against(&list, &twin, &oracle, &probe);
+        }
+    }
+}
+
+#[test]
+fn matrix_grows_past_its_stride_and_rows_then_splits_when_it_stops_paying() {
+    // Full 64 × 64 corner: one word per row.
+    let corner: Vec<(usize, usize)> = (0..64).flat_map(|o| (0..64).map(move |t| (o, t))).collect();
+    let mut list = list_from(&corner);
+    let mut oracle: BTreeSet<(usize, usize)> = corner.iter().copied().collect();
+    assert!(list.is_dense());
+    let mut twin = sparse_twin(&list);
+    let probe: RumorSet = [Rumor::new(ProcessId(3), 3)].into_iter().collect();
+
+    // A target past the stride, then an origin past the rows: the matrix
+    // still pays for 4 098 pairs and grows in place.
+    for (o, t) in [(10, 100), (100, 5)] {
+        apply(&ListOp::Insert(o, t), &mut list, &mut twin, &mut oracle);
+        assert!(list.is_dense(), "({o}, {t}) grows the matrix");
+        check_against(&list, &twin, &oracle, &probe);
+    }
+    assert!(list.contains(ProcessId(10), ProcessId(100)));
+    assert!(list.contains(ProcessId(100), ProcessId(5)));
+    assert!(!list.contains(ProcessId(100), ProcessId(6)));
+
+    // A small matrix asked to span a far corner splits back into rows
+    // instead of allocating 1 001 × 16 words for 34 pairs.
+    let small: Vec<(usize, usize)> = (0..=ADAPTIVE_DENSE_FLOOR).map(|t| (0, t)).collect();
+    let mut list = list_from(&small);
+    let mut oracle: BTreeSet<(usize, usize)> = small.iter().copied().collect();
+    assert!(list.is_dense());
+    let mut twin = sparse_twin(&list);
+    apply(
+        &ListOp::Insert(1000, 1000),
+        &mut list,
+        &mut twin,
+        &mut oracle,
+    );
+    assert!(
+        !list.is_dense(),
+        "a matrix that no longer pays splits into rows"
+    );
+    check_against(&list, &twin, &oracle, &probe);
 }

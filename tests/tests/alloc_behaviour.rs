@@ -16,8 +16,16 @@
 //! size (a single accidental densification costs `n/8` bytes and would
 //! multiply across 65 536 processes into gigabytes).
 //!
-//! The tests share one global allocation counter, so they serialise on
-//! [`ALLOC_WINDOW`]: only one measurement window is open at a time.
+//! A third test pins the dense informed-list layout: cloning a dense
+//! `n = 128` list (what every `ears`/`sears` send does through
+//! copy-on-write) is one allocation for the whole row-major matrix, not one
+//! per row.
+//!
+//! The global counters see every thread, so the tests that read them
+//! serialise on [`ALLOC_WINDOW`]: only one measurement window is open at a
+//! time. Tests that measure work done on their own thread read the
+//! per-thread counters instead, which other tests of the binary, running
+//! concurrently on their own threads, cannot reach.
 
 // The counting allocator is the one place in the workspace that needs
 // `unsafe`: `GlobalAlloc` is an unsafe trait. The workspace-level
@@ -25,6 +33,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -34,6 +43,7 @@ use agossip_adversary::ObliviousPlan;
 use agossip_analysis::experiments::scale::{
     scale_a_target, scale_tears_params, tears_params_for_a,
 };
+use agossip_core::informed_list::InformedList;
 use agossip_core::{
     run_gossip, run_service_sim, GossipCtx, GossipEngine, GossipSpec, LoopMode, Rumor, RumorSet,
     SimServiceConfig, Tears, TearsFlag, TearsMessage, Trivial,
@@ -63,12 +73,35 @@ fn track_live(delta: i64) {
 /// only ever observe one workload at a time.
 static ALLOC_WINDOW: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Allocation calls made by the current thread.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by allocation calls of the current thread.
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation call of `size` bytes, globally and for the
+/// calling thread. The thread-locals are const-initialised and need no
+/// destructor, so touching them never allocates; during thread teardown
+/// they are skipped.
+fn count_allocation(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
+
+/// `(allocation calls, bytes requested)` by the current thread so far.
+fn thread_counts() -> (u64, u64) {
+    (THREAD_ALLOCATIONS.get(), THREAD_BYTES.get())
+}
+
 // SAFETY: delegates verbatim to `System`, which upholds the `GlobalAlloc`
-// contract; the added atomic counters have no effect on the returned memory.
+// contract; the added counters (atomics and const thread-locals, which never
+// allocate) have no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_allocation(layout.size());
         track_live(layout.size() as i64);
         // SAFETY: `layout` is the caller's layout, passed through unchanged.
         unsafe { System.alloc(layout) }
@@ -81,8 +114,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_allocation(new_size);
         track_live(new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded unchanged; `ptr`/`layout` come from this
         // allocator and `new_size` is the caller's request.
@@ -216,13 +248,15 @@ fn early_phase_tears_step_at_n_65536_allocates_o_informed_not_theta_n() {
         .collect();
     let mut out = Vec::new();
 
+    // Only this thread's allocations count: the work under test runs here,
+    // and tests running concurrently on other threads cannot leak in.
     let window = ALLOC_WINDOW.lock().unwrap();
-    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let (_, before) = thread_counts();
     for (from, msg) in incoming {
         engine.deliver(from, msg);
     }
     engine.local_step(&mut out);
-    let during = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let during = thread_counts().1 - before;
     drop(window);
 
     // Sanity: the workload did what it claims — the rumors arrived and the
@@ -243,6 +277,39 @@ fn early_phase_tears_step_at_n_65536_allocates_o_informed_not_theta_n() {
         "an early-phase tears step at n = {N} must allocate O(informed) \
          bytes, got {during} (Θ(n) would be ≥ {})",
         N / 8
+    );
+}
+
+#[test]
+fn cloning_a_dense_n_128_informed_list_is_one_allocation() {
+    // The copy-on-write hazard the matrix layout removes: every `ears` and
+    // `sears` send snapshots I(p) and the next local step's `make_mut`
+    // clones it. With one heap vector per row a dense n = 128 clone made
+    // 128 small chunks, which pile up in the allocator's fast bins at trial
+    // teardown and stall the next trial's first large allocation. As one
+    // row-major matrix the clone is a single allocation and memcpy.
+    const N: usize = 128;
+    let mut list = InformedList::new();
+    for origin in 0..N {
+        for target in (0..N).filter(|t| (origin * 7 + t) % 3 == 0) {
+            list.insert(ProcessId(origin), ProcessId(target));
+        }
+    }
+    assert!(
+        list.is_dense(),
+        "a third of the n × n universe must be past the sparse→dense rule"
+    );
+
+    let window = ALLOC_WINDOW.lock().unwrap();
+    let (before, _) = thread_counts();
+    let copy = list.clone();
+    let during = thread_counts().0 - before;
+    drop(window);
+
+    assert_eq!(copy, list);
+    assert_eq!(
+        during, 1,
+        "cloning a dense n = {N} informed list must be one allocation, not one per row"
     );
 }
 
