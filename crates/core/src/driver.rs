@@ -52,8 +52,10 @@ impl GossipReport {
 /// * `adversary` — schedules, crashes and delays (it must respect `config.f`);
 /// * `make` — protocol factory invoked once per process.
 ///
-/// Returns an error if the configuration is invalid or the execution exceeds
-/// `config.max_steps` without becoming quiescent.
+/// Returns an error if the configuration is invalid. An execution that
+/// exceeds `config.max_steps` without becoming quiescent is reported, not
+/// returned as an error: its stop reason is [`StopReason::StepLimit`] and its
+/// check fails.
 pub fn run_gossip<G, A, F>(
     config: &SimConfig,
     spec: GossipSpec,
@@ -75,48 +77,32 @@ where
         .collect();
 
     let mut sim = Simulation::new(config.clone(), processes)?;
-    let outcome = match sim.run_with(adversary) {
-        Ok(outcome) => outcome,
-        Err(SimError::StepLimitExceeded { .. }) => {
-            // Surface a non-quiescent execution as a failed check rather than
-            // an error: the experiment harnesses want to observe it.
-            let correct: Vec<bool> = sim.statuses().iter().map(|s| s.is_alive()).collect();
-            let final_rumors: Vec<RumorSet> = sim
-                .processes()
-                .iter()
-                .map(|p| p.engine().rumors().clone())
-                .collect();
-            let check = check_gossip(spec, &final_rumors, &initial, &correct, false);
-            let rumor_units_sent = sim.processes().iter().map(|p| p.units_sent()).sum();
-            let metrics = sim.metrics().clone();
-            return Ok(GossipReport {
-                normalized_time: None,
-                check,
-                stop_reason: StopReason::StepLimit,
-                final_rumors,
-                metrics,
-                rumor_units_sent,
-            });
-        }
+    let stop_reason = match sim.run_with(adversary) {
+        Ok(outcome) => outcome.reason,
+        // Surface a non-quiescent execution as a failed check rather than
+        // an error: the experiment harnesses want to observe it.
+        Err(SimError::StepLimitExceeded { .. }) => StopReason::StepLimit,
         Err(e) => return Err(e),
     };
-
     let correct: Vec<bool> = sim.statuses().iter().map(|s| s.is_alive()).collect();
     let final_rumors: Vec<RumorSet> = sim
         .processes()
         .iter()
         .map(|p| p.engine().rumors().clone())
         .collect();
-    let quiescent = outcome.reason == StopReason::Quiescent;
+    let quiescent = stop_reason == StopReason::Quiescent;
     let check = check_gossip(spec, &final_rumors, &initial, &correct, quiescent);
     let rumor_units_sent = sim.processes().iter().map(|p| p.units_sent()).sum();
     let metrics = sim.metrics().clone();
-    let normalized_time = metrics.normalized_time(config.d, config.delta);
-
+    // A run cut at the step limit never completed.
+    let normalized_time = match stop_reason {
+        StopReason::StepLimit => None,
+        _ => metrics.normalized_time(config.d, config.delta),
+    };
     Ok(GossipReport {
         metrics,
         check,
-        stop_reason: outcome.reason,
+        stop_reason,
         normalized_time,
         final_rumors,
         rumor_units_sent,

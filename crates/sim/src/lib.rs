@@ -33,9 +33,10 @@
 //!   uses). Both stepping modes share one zero-allocation step core, and
 //!   [`Simulation::run_until`] can optionally fast-forward over idle windows
 //!   (see [`SimConfig::idle_fast_forward`]).
-//! * [`Network`] — the in-flight buffer, deadline-indexed per destination so
-//!   delivery collection touches only due messages instead of scanning whole
-//!   queues.
+//! * [`Network`] — the in-flight buffer: per destination, a short
+//!   deadline-sorted deque of buckets, each in send order, so a send is an
+//!   append and delivery collection pops only the due buckets instead of
+//!   scanning whole queues.
 //! * [`adversary`] — the adversary trait plus a family of oblivious
 //!   schedule/delay/crash policies.
 //! * [`metrics`] — message, step, delay and quiescence accounting; these are

@@ -8,19 +8,31 @@
 //!
 //! # Representation
 //!
-//! Each destination owns a [`BinaryHeap`] of in-flight messages keyed by
-//! `(deliverable_at, seq)`, where `seq` is a network-wide send sequence
-//! number. The heap top is therefore always the earliest-deadline message, so
+//! In the paper's `(d, δ)`-bounded model every delay lies in `1..=d`, or is
+//! the `u64::MAX` "withheld forever" marker, so one destination's pending
+//! messages share at most `d` live deadlines plus one withheld deadline.
+//! Each destination therefore keeps a short deque of *deadline buckets*,
+//! sorted by deadline; a bucket holds every message due at its deadline
+//! together with its network-wide send sequence number, in send order.
 //!
-//! * [`Network::earliest_deliverable_for`] is O(1) (a peek), and
-//! * [`Network::collect_deliverable`] is O(delivered · log k) and returns
-//!   *immediately* — moving nothing — when the earliest deadline is still in
-//!   the future.
+//! * [`Network::send`] appends to its deadline's bucket, found by a scan
+//!   from the back of the deque (new deadlines are almost always the
+//!   latest), and inserts a bucket when there is none: O(d) worst case,
+//!   O(1) in practice.
+//! * [`Network::earliest_deliverable_for`] reads the front bucket's
+//!   deadline: O(1).
+//! * [`Network::collect_deliverable`] pops every bucket whose deadline has
+//!   been reached and returns *immediately* — moving nothing — when the
+//!   front deadline is still in the future. A single due bucket is already
+//!   in send order and moves out as it is; several due buckets are merged
+//!   by sequence number.
 //!
-//! Delivered batches are handed out in **send order** (ascending `seq`), which
-//! is exactly the order the historical `VecDeque`-scan implementation
-//! produced, so executions are bit-for-bit reproducible across the two
-//! representations (see `tests/network_differential.rs`).
+//! Delivered batches are handed out in **send order** (ascending sequence
+//! number), which is exactly the order the historical `VecDeque`-scan
+//! implementation produced, so executions are bit-for-bit reproducible
+//! across the representations (see `tests/network_differential.rs`).
+//! Drained bucket storage goes to a network-wide spare pool that new buckets
+//! are taken from, so steady-state sending and collecting allocate nothing.
 //!
 //! # Sharding
 //!
@@ -30,69 +42,44 @@
 //! deadline over its member queues, so the whole-network queries —
 //! [`Network::earliest_deliverable`] (the idle fast-forward target) and
 //! [`Network::all_beyond`] (quiescence under withheld messages) — cost
-//! O(shards) plus one O([`SHARD_SIZE`]) rescan per shard that changed since
-//! the last query, instead of peeking all `n` queues every time. At
-//! `n = 65 536` that turns a 65 536-peek scan into at most 1 024 cache
-//! reads. Shards are merged in ascending shard order, which is
+//! O(shards) plus one O([`SHARD_SIZE`]) rescan of front deadlines per shard
+//! that changed since the last query, instead of reading all `n` queues
+//! every time. At `n = 65 536` that turns a 65 536-queue scan into at most
+//! 1 024 cache reads. Shards are merged in ascending shard order, which is
 //! deterministic and — since `min` is order-insensitive — yields exactly
 //! the value the flat scan produced, so executions stay bit-for-bit
 //! identical (pinned by `tests/network_differential.rs` and the golden
 //! seeds in `tests/tests/seed_equivalence.rs`).
 
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::message::Envelope;
 use crate::process::ProcessId;
 use crate::time::TimeStep;
 
-/// A message waiting in the network together with the earliest time at which
-/// it may be delivered and its network-wide send sequence number.
+/// Messages paired with their network-wide send sequence numbers, in send
+/// order. The sequence number is unique per network and restores send order
+/// when several buckets are delivered together.
+type Messages<M> = Vec<(u64, Envelope<M>)>;
+
+/// Every message for one destination that becomes deliverable at the same
+/// time step.
 #[derive(Debug, Clone)]
-struct InFlight<M> {
-    envelope: Envelope<M>,
-    /// The message becomes deliverable at any scheduled step of the recipient
-    /// occurring at time `>= deliverable_at`.
-    deliverable_at: TimeStep,
-    /// Position in the global send order; unique per network, used to break
-    /// deadline ties FIFO and to restore send order within a delivered batch.
-    seq: u64,
-}
-
-// The heap must order solely by (deliverable_at, seq) — payloads have no
-// ordering — and `BinaryHeap` is a max-heap, so the comparison is reversed to
-// put the earliest deadline on top. `seq` is unique, which makes the order
-// total and the `PartialEq` below consistent with it.
-impl<M> PartialEq for InFlight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl<M> Eq for InFlight<M> {}
-
-impl<M> PartialOrd for InFlight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for InFlight<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .deliverable_at
-            .cmp(&self.deliverable_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+struct Bucket<M> {
+    /// The messages become deliverable at any scheduled step of the
+    /// recipient occurring at time `>= deadline`.
+    deadline: TimeStep,
+    messages: Messages<M>,
 }
 
 /// Destinations per scheduler shard: `1 << SHARD_SHIFT`.
 const SHARD_SHIFT: usize = 6;
 
 /// Number of consecutive destinations grouped under one shard (64): small
-/// enough that a stale shard's rescan is one cache line of heap tops, large
-/// enough that the shard directory at `n = 65 536` is only 1 024 entries.
+/// enough that a stale shard's rescan is one short pass over front
+/// deadlines, large enough that the shard directory at `n = 65 536` is only
+/// 1 024 entries.
 pub const SHARD_SIZE: usize = 1 << SHARD_SHIFT;
 
 /// Per-shard scheduling state: the in-flight count and the cached earliest
@@ -119,30 +106,33 @@ impl Shard {
     }
 }
 
-/// The network: a per-destination deadline-indexed queue of in-flight
-/// messages, grouped into shards of [`SHARD_SIZE`] destinations for the
-/// whole-network queries (see the module docs).
+/// The network: per destination, a deadline-sorted deque of buckets of
+/// in-flight messages, grouped into shards of [`SHARD_SIZE`] destinations
+/// for the whole-network queries (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Network<M> {
-    queues: Vec<BinaryHeap<InFlight<M>>>,
+    queues: Vec<VecDeque<Bucket<M>>>,
     shards: Vec<Shard>,
     in_flight: usize,
     next_seq: u64,
-    /// Scratch space for popped messages while a delivered batch is being
-    /// restored to send order; kept here so steady-state collection does not
-    /// allocate.
-    scratch: Vec<InFlight<M>>,
+    /// Emptied bucket storage, kept with its capacity for the next new
+    /// bucket, so steady-state sending does not allocate.
+    spare: Vec<Messages<M>>,
+    /// The due buckets of a collection that spans several deadlines, while
+    /// they are merged into send order; empty between calls.
+    due: Vec<Messages<M>>,
 }
 
 impl<M> Network<M> {
     /// Creates an empty network for a system of `n` processes.
     pub fn new(n: usize) -> Self {
         Network {
-            queues: (0..n).map(|_| BinaryHeap::new()).collect(),
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
             shards: (0..n.div_ceil(SHARD_SIZE)).map(|_| Shard::new()).collect(),
             in_flight: 0,
             next_seq: 0,
-            scratch: Vec::new(),
+            spare: Vec::new(),
+            due: Vec::new(),
         }
     }
 
@@ -159,25 +149,30 @@ impl<M> Network<M> {
     /// adversary); such messages still count as *sent* for message-complexity
     /// accounting, which is done by the caller.
     pub fn send(&mut self, envelope: Envelope<M>, delay: u64) {
-        let deliverable_at = envelope.sent_at.after(delay);
+        let deadline = envelope.sent_at.after(delay);
         let to = envelope.to.index();
         debug_assert!(to < self.queues.len(), "destination out of range");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queues[to].push(InFlight {
-            envelope,
-            deliverable_at,
-            seq,
-        });
+        let queue = &mut self.queues[to];
+        // Deadlines grow with send time, so the bucket is almost always the
+        // last one (or the one before a withheld bucket).
+        let before = queue.iter().rposition(|b| b.deadline <= deadline);
+        match before {
+            Some(i) if queue[i].deadline == deadline => queue[i].messages.push((seq, envelope)),
+            _ => {
+                let mut messages = self.spare.pop().unwrap_or_default();
+                messages.push((seq, envelope));
+                let at = before.map_or(0, |i| i + 1);
+                queue.insert(at, Bucket { deadline, messages });
+            }
+        }
         self.in_flight += 1;
         let shard = &mut self.shards[to >> SHARD_SHIFT];
         shard.in_flight += 1;
         if !shard.stale.get() {
             // The cache is exact; a send can only lower the minimum.
-            let earliest = shard
-                .earliest
-                .get()
-                .map_or(deliverable_at, |e| e.min(deliverable_at));
+            let earliest = shard.earliest.get().map_or(deadline, |e| e.min(deadline));
             shard.earliest.set(Some(earliest));
         }
     }
@@ -205,31 +200,41 @@ impl<M> Network<M> {
         out: &mut Vec<Envelope<M>>,
     ) {
         let queue = &mut self.queues[to.index()];
-        match queue.peek() {
-            Some(m) if m.deliverable_at <= now => {}
-            _ => return,
+        let is_due = |q: &VecDeque<Bucket<M>>| q.front().is_some_and(|b| b.deadline <= now);
+        if !is_due(queue) {
+            return;
         }
-        debug_assert!(self.scratch.is_empty());
-        while queue.peek().is_some_and(|m| m.deliverable_at <= now) {
-            let Some(m) = queue.pop() else { break };
-            self.scratch.push(m);
+        let before = out.len();
+        debug_assert!(self.due.is_empty());
+        while is_due(queue) {
+            let Some(bucket) = queue.pop_front() else {
+                break;
+            };
+            self.due.push(bucket.messages);
         }
-        self.in_flight -= self.scratch.len();
+        if let [messages] = self.due.as_mut_slice() {
+            // One deadline: the bucket is already in send order.
+            out.extend(messages.drain(..).map(|(_, env)| env));
+        } else {
+            merge_by_seq(&mut self.due, out);
+        }
+        self.spare.append(&mut self.due);
+        let delivered = out.len() - before;
+        self.in_flight -= delivered;
         let shard = &mut self.shards[to.index() >> SHARD_SHIFT];
-        shard.in_flight -= self.scratch.len();
+        shard.in_flight -= delivered;
         shard.stale.set(true);
-        // Heap order is (deadline, seq); the historical contract is send
-        // order across the whole batch, i.e. ascending seq.
-        self.scratch.sort_unstable_by_key(|m| m.seq);
-        out.extend(self.scratch.drain(..).map(|m| m.envelope));
     }
 
     /// Discards every message addressed to `to` (used when `to` crashes).
     /// Returns the number of messages dropped.
     pub fn drop_for(&mut self, to: ProcessId) -> usize {
-        let queue = &mut self.queues[to.index()];
-        let dropped = queue.len();
-        queue.clear();
+        let mut dropped = 0;
+        for mut bucket in self.queues[to.index()].drain(..) {
+            dropped += bucket.messages.len();
+            bucket.messages.clear();
+            self.spare.push(bucket.messages);
+        }
         self.in_flight -= dropped;
         if dropped > 0 {
             let shard = &mut self.shards[to.index() >> SHARD_SHIFT];
@@ -246,13 +251,16 @@ impl<M> Network<M> {
 
     /// Number of messages currently queued for `to`.
     pub fn pending_for(&self, to: ProcessId) -> usize {
-        self.queues[to.index()].len()
+        self.queues[to.index()]
+            .iter()
+            .map(|b| b.messages.len())
+            .sum()
     }
 
     /// Earliest time at which any message queued for `to` becomes
     /// deliverable, or `None` if the queue is empty. O(1).
     pub fn earliest_deliverable_for(&self, to: ProcessId) -> Option<TimeStep> {
-        self.queues[to.index()].peek().map(|m| m.deliverable_at)
+        self.queues[to.index()].front().map(|b| b.deadline)
     }
 
     /// The cached earliest deadline of shard `s`, rescanning its member
@@ -269,7 +277,7 @@ impl<M> Network<M> {
             let hi = ((s + 1) << SHARD_SHIFT).min(self.queues.len());
             let earliest = self.queues[lo..hi]
                 .iter()
-                .filter_map(|q| q.peek().map(|m| m.deliverable_at))
+                .filter_map(|q| q.front().map(|b| b.deadline))
                 .min();
             shard.earliest.set(earliest);
             shard.stale.set(false);
@@ -300,7 +308,9 @@ impl<M> Network<M> {
     /// delivery deadline), without removing them. Iteration order is
     /// unspecified; use [`Self::clone_pending_for`] for send order.
     pub fn iter_for(&self, to: ProcessId) -> impl Iterator<Item = &Envelope<M>> {
-        self.queues[to.index()].iter().map(|m| &m.envelope)
+        self.queues[to.index()]
+            .iter()
+            .flat_map(|b| b.messages.iter().map(|(_, env)| env))
     }
 
     /// Clones every message currently queued for `to`, in send order.
@@ -308,9 +318,9 @@ impl<M> Network<M> {
     where
         M: Clone,
     {
-        let mut pending: Vec<(u64, &Envelope<M>)> = self.queues[to.index()]
+        let mut pending: Vec<&(u64, Envelope<M>)> = self.queues[to.index()]
             .iter()
-            .map(|m| (m.seq, &m.envelope))
+            .flat_map(|b| &b.messages)
             .collect();
         pending.sort_unstable_by_key(|(seq, _)| *seq);
         pending.into_iter().map(|(_, env)| env.clone()).collect()
@@ -323,6 +333,30 @@ impl<M> Network<M> {
     /// only a shard's earliest deadline needs inspecting.
     pub fn all_beyond(&self, horizon: TimeStep) -> bool {
         (0..self.shards.len()).all(|s| self.shard_earliest(s).is_none_or(|e| e > horizon))
+    }
+}
+
+/// Moves the messages of several buckets onto `out` in ascending sequence
+/// number, leaving every bucket empty (with its capacity).
+///
+/// Each bucket is already in send order, so this is a k-way merge over the
+/// deadlines that fell due since the destination's last collection — a
+/// handful when it is scheduled every `δ` steps. Buckets are reversed so
+/// the smallest remaining sequence number of each is its last element and
+/// can be popped.
+fn merge_by_seq<M>(buckets: &mut [Messages<M>], out: &mut Vec<Envelope<M>>) {
+    for bucket in buckets.iter_mut() {
+        bucket.reverse();
+    }
+    loop {
+        let next = buckets
+            .iter_mut()
+            .filter_map(|b| Some((b.last()?.0, b)))
+            .min_by_key(|(seq, _)| *seq);
+        let Some((_, bucket)) = next else { break };
+        if let Some((_, env)) = bucket.pop() {
+            out.push(env);
+        }
     }
 }
 
@@ -498,6 +532,105 @@ mod tests {
         // A send after the caches went empty repopulates them exactly.
         net.send(env(0, far.index(), 10, 4), 2);
         assert_eq!(net.earliest_deliverable(), Some(TimeStep(12)));
+    }
+
+    #[test]
+    fn unscheduled_destination_gets_every_due_bucket_as_one_batch() {
+        // Sends at t0..t3 with delays cycling through 1..=4 leave seven
+        // deadline buckets (t1..t7) whose seq ranges interleave. Collecting
+        // once at t6 merges six of them into one batch in send order; only
+        // the message sent at t3 with delay 4 stays behind.
+        let mut net: Network<u32> = Network::new(2);
+        let mut payload = 0;
+        for at in 0..4 {
+            for delay in [3, 1, 4, 2] {
+                net.send(env(0, 1, at, payload), delay);
+                payload += 1;
+            }
+        }
+        assert_eq!(net.queues[1].len(), 7);
+        let got = net.collect_deliverable(ProcessId(1), TimeStep(6));
+        let payloads: Vec<u32> = got.iter().map(|e| e.payload).collect();
+        assert_eq!(
+            payloads,
+            vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15]
+        );
+        assert_eq!(net.pending_for(ProcessId(1)), 1);
+        assert_eq!(
+            net.earliest_deliverable_for(ProcessId(1)),
+            Some(TimeStep(7))
+        );
+        let got = net.collect_deliverable(ProcessId(1), TimeStep(7));
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload, 14);
+        assert!(net.is_empty());
+    }
+
+    #[test]
+    fn withheld_messages_stay_behind_a_due_bucket() {
+        let mut net: Network<u32> = Network::new(2);
+        net.send(env(0, 1, 0, 1), u64::MAX);
+        net.send(env(0, 1, 0, 2), 2);
+        net.send(env(0, 1, 1, 3), u64::MAX);
+        net.send(env(0, 1, 1, 4), 1);
+        // The withheld bucket stays last; later sends land before it.
+        assert_eq!(net.queues[1].len(), 2);
+        assert_eq!(
+            net.earliest_deliverable_for(ProcessId(1)),
+            Some(TimeStep(2))
+        );
+        let got = net.collect_deliverable(ProcessId(1), TimeStep(1_000));
+        let payloads: Vec<u32> = got.iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, vec![2, 4]);
+        assert_eq!(net.pending_for(ProcessId(1)), 2);
+        assert_eq!(
+            net.earliest_deliverable_for(ProcessId(1)),
+            Some(TimeStep(u64::MAX))
+        );
+        assert!(net.all_beyond(TimeStep(1_000)));
+    }
+
+    #[test]
+    fn drop_for_discards_every_bucket_and_recycles_the_storage() {
+        let mut net: Network<u32> = Network::new(3);
+        net.send(env(0, 1, 0, 1), 3);
+        net.send(env(0, 1, 0, 2), 1);
+        net.send(env(0, 1, 0, 3), 2);
+        net.send(env(0, 1, 0, 4), u64::MAX);
+        net.send(env(0, 2, 0, 5), 1);
+        assert_eq!(net.queues[1].len(), 4);
+        assert_eq!(net.drop_for(ProcessId(1)), 4);
+        assert_eq!(net.in_flight(), 1);
+        assert_eq!(net.pending_for(ProcessId(1)), 0);
+        assert_eq!(net.earliest_deliverable_for(ProcessId(1)), None);
+        assert_eq!(net.earliest_deliverable(), Some(TimeStep(1)));
+        assert_eq!(net.spare.len(), 4);
+        // New buckets draw on the recycled storage.
+        net.send(env(0, 1, 1, 6), 1);
+        assert_eq!(net.spare.len(), 3);
+        assert_eq!(
+            net.collect_deliverable(ProcessId(1), TimeStep(2))[0].payload,
+            6
+        );
+    }
+
+    #[test]
+    fn clone_pending_keeps_send_order_across_buckets() {
+        let mut net: Network<u32> = Network::new(2);
+        for (payload, (at, delay)) in [(0, 2), (0, 1), (1, 1), (1, u64::MAX), (2, 1), (1, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            net.send(env(0, 1, at, payload as u32), delay);
+        }
+        assert_eq!(net.queues[1].len(), 4);
+        let cloned = net.clone_pending_for(ProcessId(1));
+        let payloads: Vec<u32> = cloned.iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, vec![0, 1, 2, 3, 4, 5]);
+        let mut iterated: Vec<u32> = net.iter_for(ProcessId(1)).map(|e| e.payload).collect();
+        iterated.sort_unstable();
+        assert_eq!(iterated, payloads);
+        assert_eq!(net.pending_for(ProcessId(1)), 6);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!
 //! * `network_matches_reference_model` drives the network and the model
 //!   through the same operation sequence and compares every delivered batch
-//!   (content *and* order), plus every observable query.
+//!   (content *and* order), plus every observable query;
+//!   `network_matches_reference_model_with_many_live_buckets` does the same
+//!   with delays up to 64 and rare collects, so queues hold many deadline
+//!   buckets and sends land mid-queue.
 //! * `simulation_matches_reference_stepper` replays the seed's whole step
 //!   body (crash → deliver → compute → send, `VecDeque` network and all) for
 //!   a deterministic request/reply protocol and compares the envelope
@@ -167,43 +170,103 @@ proptest! {
             }
 
             // Observables agree after every operation.
-            prop_assert_eq!(network.in_flight(), model.in_flight);
-            for pid in ProcessId::all(n) {
-                prop_assert_eq!(
-                    network.earliest_deliverable_for(pid),
-                    model.earliest_deliverable_for(pid)
-                );
-                prop_assert_eq!(
-                    network.pending_for(pid),
-                    model.queues[pid.index()].len()
-                );
-                prop_assert_eq!(
-                    network.clone_pending_for(pid),
-                    model.queues[pid.index()]
-                        .iter()
-                        .map(|(env, _)| env.clone())
-                        .collect::<Vec<_>>(),
-                    "pending order diverged"
-                );
-            }
-            prop_assert_eq!(network.all_beyond(now), model.all_beyond(now));
-            prop_assert_eq!(
-                network.earliest_deliverable(),
-                model.earliest_deliverable(),
-                "shard-merged earliest deadline diverged"
-            );
+            assert_observables_agree(&network, &model, now);
         }
 
         // Drain everything still deliverable and compare the final batches.
         now = now.after(d);
-        for pid in ProcessId::all(n) {
-            prop_assert_eq!(
-                network.collect_deliverable(pid, now),
-                model.collect_deliverable(pid, now)
-            );
-        }
-        prop_assert_eq!(network.in_flight(), model.in_flight);
+        assert_drains_agree(&mut network, &mut model, now);
     }
+
+    /// The same comparison with long delays, short time advances and rare
+    /// collects, so each queue holds many deadline buckets at once and a
+    /// send with a short delay after ones with a long delay lands in the
+    /// middle of its queue rather than at the back.
+    #[test]
+    fn network_matches_reference_model_with_many_live_buckets(
+        n in 2usize..6,
+        d in 8u64..65,
+        ops in 100usize..400,
+        scenario in 0u64..1_000_000,
+    ) {
+        let mut prng = Prng(scenario);
+        let mut network: Network<u64> = Network::new(n);
+        let mut model: ReferenceNetwork<u64> = ReferenceNetwork::new(n);
+        let mut now = TimeStep::ZERO;
+
+        for payload in 0..ops as u64 {
+            match prng.below(100) {
+                0..=79 => {
+                    let from = ProcessId(prng.below(n as u64) as usize);
+                    let to = ProcessId(prng.below(n as u64) as usize);
+                    let delay = if prng.chance(5) {
+                        u64::MAX
+                    } else {
+                        1 + prng.below(d)
+                    };
+                    let env = Envelope { from, to, sent_at: now, payload };
+                    network.send(env.clone(), delay);
+                    model.send(env, delay);
+                }
+                80..=84 => {
+                    let to = ProcessId(prng.below(n as u64) as usize);
+                    let got = network.collect_deliverable(to, now);
+                    let expected = model.collect_deliverable(to, now);
+                    prop_assert_eq!(got, expected, "delivered batch diverged");
+                }
+                85 => {
+                    let to = ProcessId(prng.below(n as u64) as usize);
+                    prop_assert_eq!(network.drop_for(to), model.drop_for(to));
+                }
+                _ => now.tick(),
+            }
+            assert_observables_agree(&network, &model, now);
+        }
+
+        now = now.after(d);
+        assert_drains_agree(&mut network, &mut model, now);
+    }
+}
+
+/// Every query of the network agrees with the model at time `now`.
+fn assert_observables_agree(network: &Network<u64>, model: &ReferenceNetwork<u64>, now: TimeStep) {
+    assert_eq!(network.in_flight(), model.in_flight);
+    for pid in ProcessId::all(network.n()) {
+        assert_eq!(
+            network.earliest_deliverable_for(pid),
+            model.earliest_deliverable_for(pid)
+        );
+        assert_eq!(network.pending_for(pid), model.queues[pid.index()].len());
+        assert_eq!(
+            network.clone_pending_for(pid),
+            model.queues[pid.index()]
+                .iter()
+                .map(|(env, _)| env.clone())
+                .collect::<Vec<_>>(),
+            "pending order diverged"
+        );
+    }
+    assert_eq!(network.all_beyond(now), model.all_beyond(now));
+    assert_eq!(
+        network.earliest_deliverable(),
+        model.earliest_deliverable(),
+        "shard-merged earliest deadline diverged"
+    );
+}
+
+/// Collects every destination at `now` from both and compares the batches.
+fn assert_drains_agree(
+    network: &mut Network<u64>,
+    model: &mut ReferenceNetwork<u64>,
+    now: TimeStep,
+) {
+    for pid in ProcessId::all(network.n()) {
+        assert_eq!(
+            network.collect_deliverable(pid, now),
+            model.collect_deliverable(pid, now)
+        );
+    }
+    assert_eq!(network.in_flight(), model.in_flight);
 }
 
 // ---------------------------------------------------------------------------

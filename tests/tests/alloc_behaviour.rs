@@ -21,6 +21,9 @@
 //! copy-on-write) is one allocation for the whole row-major matrix, not one
 //! per row.
 //!
+//! A fourth test pins the simulator network's bucket recycling: repeated
+//! send → collect cycles of one shape settle into allocating nothing.
+//!
 //! The global counters see every thread, so the tests that read them
 //! serialise on [`ALLOC_WINDOW`]: only one measurement window is open at a
 //! time. Tests that measure work done on their own thread read the
@@ -49,7 +52,7 @@ use agossip_core::{
     SimServiceConfig, Tears, TearsFlag, TearsMessage, Trivial,
 };
 use agossip_runtime::{run_live, ChannelTransport, LiveConfig};
-use agossip_sim::{ProcessId, SimConfig};
+use agossip_sim::{Envelope, Network, ProcessId, SimConfig, TimeStep};
 
 /// Forwards to the system allocator, counting every allocation call and the
 /// bytes it requested.
@@ -310,6 +313,79 @@ fn cloning_a_dense_n_128_informed_list_is_one_allocation() {
     assert_eq!(
         during, 1,
         "cloning a dense n = {N} informed list must be one allocation, not one per row"
+    );
+}
+
+#[test]
+fn network_send_collect_cycles_reach_an_allocation_free_steady_state() {
+    // The deadline-bucket pin: drained bucket storage is recycled into new
+    // buckets and the per-destination deques keep their capacity, so
+    // repeated send → collect cycles of one shape stop allocating. Buckets
+    // differ in size (destination `to` gets `to + 1` messages per deadline
+    // and step) and destinations are scheduled on alternate steps, so
+    // collections see one and several due buckets.
+    //
+    // The spare pool is shared and last-in first-out, so a recycled buffer
+    // can land in a larger bucket than the one it came from and grow once
+    // more; each buffer only grows to the largest bucket it serves, so
+    // this settles within a few cycles. The pin is therefore: after one
+    // warm-up cycle, everything later allocates less than the warm-up did,
+    // and the last ten of twenty cycles allocate nothing at all.
+    const N: usize = 8;
+    const D: u64 = 4;
+    const STEPS: u64 = 10;
+    const CYCLES: u64 = 20;
+    fn cycle(net: &mut Network<u64>, inbox: &mut Vec<Envelope<u64>>, start: u64) -> usize {
+        let mut delivered = 0;
+        for k in 0..STEPS {
+            let now = TimeStep(start + k);
+            for to in (0..N).filter(|to| (*to as u64 + k).is_multiple_of(2)) {
+                inbox.clear();
+                net.collect_deliverable_into(ProcessId(to), now, inbox);
+                delivered += inbox.len();
+            }
+            // Sends stop D + 1 steps before the cycle ends, so every message
+            // is due, and its destination scheduled, within the cycle.
+            if k + D + 1 < STEPS {
+                for to in 0..N {
+                    for i in 0..(to as u64 + 1) * D {
+                        let envelope = Envelope {
+                            from: ProcessId(0),
+                            to: ProcessId(to),
+                            sent_at: now,
+                            payload: i,
+                        };
+                        net.send(envelope, 1 + (i + k) % D);
+                    }
+                }
+            }
+        }
+        delivered
+    }
+
+    let mut net: Network<u64> = Network::new(N);
+    let mut inbox = Vec::new();
+    let (before, _) = thread_counts();
+    let delivered = cycle(&mut net, &mut inbox, 0);
+    let warm_up = thread_counts().0 - before;
+    assert!(net.is_empty(), "every message is due within a cycle");
+
+    let per_cycle: Vec<u64> = (1..=CYCLES)
+        .map(|c| {
+            let (before, _) = thread_counts();
+            assert_eq!(cycle(&mut net, &mut inbox, c * STEPS), delivered);
+            thread_counts().0 - before
+        })
+        .collect();
+    assert!(net.is_empty());
+    eprintln!("warm-up: {warm_up} allocations, then per cycle: {per_cycle:?}");
+    assert!(
+        per_cycle.iter().sum::<u64>() < warm_up,
+        "bucket storage must be recycled, not re-made: {per_cycle:?} after {warm_up}"
+    );
+    assert!(
+        per_cycle[CYCLES as usize / 2..].iter().all(|&a| a == 0),
+        "steady-state send → collect cycles must allocate nothing: {per_cycle:?}"
     );
 }
 
